@@ -137,14 +137,11 @@ def cmd_retrieve(args):
                                     split="test", backbone_only=args.backbone_only)
     ks = [int(k) for k in args.k.split(",")]
     table = evalkit.retrieval_table(queries, gallery, ks)
-    writer = csv.writer(sys.stdout)
-    writer.writerow([f"top{k}" for k in ks])
-    writer.writerow([f"{table[k]:.4f}" for k in ks])
+    lines = [[f"top{k}" for k in ks], [f"{table[k]:.4f}" for k in ks]]
+    csv.writer(sys.stdout).writerows(lines)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"top{k}" for k in ks])
-            w.writerow([f"{table[k]:.4f}" for k in ks])
+            csv.writer(fh).writerows(lines)
     return 0
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from .tgraph import INIT_GAIN
 
 NEG_MASK = -1e30  # additive mask removing a term from a logsumexp exactly
 
@@ -25,20 +26,6 @@ class ProjectionParams:
     b1: dc.Tensor  # (F_proj,)
     w2: dc.Tensor  # (F_proj, F_proj)
     b2: dc.Tensor  # (F_proj,)
-
-
-@dataclass
-class ContrastConfig:
-    tau: float = 0.5
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-
-
-INIT_GAIN = 4.0  # matches the trainer-wide init calibration
 
 
 def init_projection(rng, in_dim, proj_dim=None):
@@ -105,17 +92,21 @@ def _similarity_matrices(u_rows, v_rows, tau, proj):
 
 
 def _directional_losses(s_cross, s_same):
-    """Vector of -log softmax losses, one per node, for one direction."""
-    n = s_cross.data.shape[0]
+    """-log softmax loss of each node, (..., N), for one direction."""
+    n = s_cross.data.shape[-1]
     diag_mask = dc.Tensor(np.eye(n) * NEG_MASK)
-    logits = dc.concat([s_cross, dc.add(s_same, diag_mask)], axis=1)
+    logits = dc.concat([s_cross, dc.add(s_same, diag_mask)], axis=-1)
     lse = dc.logsumexp_rows(logits)
-    positives = dc.tsum(dc.mul(s_cross, dc.Tensor(np.eye(n))), axis=1)
+    positives = dc.tsum(dc.mul(s_cross, dc.Tensor(np.eye(n))), axis=-1)
     return lse - positives
 
 
 def graph_loss(u_rows, v_rows, tau, proj: ProjectionParams):
-    """Symmetric average of both directional losses over all nodes."""
+    """Symmetric average of both directional losses over all nodes.
+
+    Views are (..., N, D); leading axes index graphs, and each graph's
+    negatives come from that graph alone. Returns one loss per graph.
+    """
     if u_rows.data.shape != v_rows.data.shape:
         raise ValueError(
             f"view shapes differ: {u_rows.data.shape} vs {v_rows.data.shape}"
@@ -123,12 +114,10 @@ def graph_loss(u_rows, v_rows, tau, proj: ProjectionParams):
     s_uv, s_vu, s_uu, s_vv = _similarity_matrices(u_rows, v_rows, tau, proj)
     l_u = _directional_losses(s_uv, s_uu)
     l_v = _directional_losses(s_vu, s_vv)
-    return dc.mean(dc.concat([l_u, l_v]))
+    return dc.mean(dc.concat([l_u, l_v], axis=-1), axis=-1)
 
 
 def total_graph_loss(intra_losses, inter_loss, alpha, beta):
-    """Weighted sum: alpha * sum(intra) + beta * inter."""
-    total = dc.mul(inter_loss, beta)
-    for loss in intra_losses:
-        total = dc.add(total, dc.mul(loss, alpha))
-    return total
+    """Weighted sum: alpha * sum(intra) + beta * inter, where
+    ``intra_losses`` holds a sample's intra-graph losses on its last axis."""
+    return dc.add(dc.mul(inter_loss, beta), dc.mul(dc.tsum(intra_losses, axis=-1), alpha))

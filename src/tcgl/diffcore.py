@@ -2,9 +2,11 @@
 
 Holds exactly the operations the training losses need: matmul, add,
 hadamard, concat/stack, relu, exp, log, l2_normalize, softmax, reductions
-and indexing. Gradients are accumulated by walking the recorded operation
-graph in reverse topological order; the graph is rebuilt on every forward
-pass (define-by-run), so there is no hidden state between steps.
+and indexing. Every op accepts leading batch axes, so a whole minibatch
+of small graphs runs as stacked arrays on one tape. Gradients are
+accumulated by walking the recorded operation graph in reverse
+topological order; the graph is rebuilt on every forward pass
+(define-by-run), so there is no hidden state between steps.
 """
 
 from __future__ import annotations
@@ -130,7 +132,11 @@ def _toposort(root):
 
 
 def backward(loss):
-    """Fill ``grad`` on every tensor the scalar ``loss`` depends on."""
+    """Fill ``grad`` on every leaf tensor the scalar ``loss`` depends on.
+
+    An interior node drops its gradient once it has passed it on, so a
+    batch's tape never holds a second copy of all its activations.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     order = _toposort(loss)
@@ -140,6 +146,7 @@ def backward(loss):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def grad(loss, leaves):
@@ -186,39 +193,47 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """Matrix product with ``np.matmul`` semantics: 1-D operands are
+    promoted to a row or column, leading axes are batch axes that broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ for {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
+    if a.data.ndim == 0 or b.data.ndim == 0:
+        raise ShapeError(f"matmul: scalar operand in {a.data.shape} @ {b.data.shape}")
+    try:
+        out_data = np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"matmul: shapes {a.data.shape} @ {b.data.shape} do not conform")
 
     def rule(g):
-        if a.data.ndim == 1 and b.data.ndim == 2:
-            _accumulate(a, b.data @ g)
-            _accumulate(b, np.outer(a.data, g))
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            _accumulate(a, np.outer(g, b.data))
-            _accumulate(b, a.data.T @ g)
-        elif a.data.ndim == 1 and b.data.ndim == 1:
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-        else:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
+        # Promote 1-D operands as np.matmul does, so one rule covers every case.
+        a2 = a.data[None, :] if a.data.ndim == 1 else a.data
+        b2 = b.data[:, None] if b.data.ndim == 1 else b.data
+        if b.data.ndim == 1:
+            g = g[..., None]
+        if a.data.ndim == 1:
+            g = g[..., None, :]
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b2, -1, -2)), a2.shape)
+            _accumulate(a, ga.reshape(a.data.shape))
+        if b.requires_grad:
+            if b2.ndim == 2:  # a shared matrix: one product over all batch rows
+                gb = a2.reshape(-1, a2.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), b2.shape)
+            _accumulate(b, gb.reshape(b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=rule)
 
 
 def transpose(a):
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need a matrix, got shape {a.data.shape}")
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: need at least a matrix, got shape {a.data.shape}")
 
     def rule(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.swapaxes(g, -1, -2))
 
-    return Tensor(a.data.T, _parents=(a,), _backward=rule)
+    return Tensor(np.swapaxes(a.data, -1, -2), _parents=(a,), _backward=rule)
 
 
 def concat(tensors, axis=0):
@@ -261,7 +276,7 @@ def getitem(a, idx):
 
     def rule(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        np.add.at(full, idx, g)  # a repeated index collects every gradient it received
         _accumulate(a, full)
 
     return Tensor(out_data, _parents=(a,), _backward=rule)
@@ -309,14 +324,16 @@ def tsum(a, axis=None):
     return Tensor(out_data, _parents=(a,), _backward=rule)
 
 
-def mean(a):
+def mean(a, axis=None):
     a = _as_tensor(a)
-    n = a.data.size
+    n = a.data.size if axis is None else a.data.shape[axis]
 
     def rule(g):
-        _accumulate(a, np.full_like(a.data, g / n))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
 
-    return Tensor(a.data.mean(), _parents=(a,), _backward=rule)
+    return Tensor(a.data.mean(axis=axis), _parents=(a,), _backward=rule)
 
 
 def dot(a, b):
@@ -365,48 +382,20 @@ def log_softmax(a, axis=-1):
 
 
 def logsumexp_rows(a):
-    """Row-wise log(sum(exp(row))) of a matrix, with max-subtraction."""
+    """log(sum(exp(x))) over the last axis, with max-subtraction."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"logsumexp_rows: need a matrix, got shape {a.data.shape}")
-    m = a.data.max(axis=1, keepdims=True)
+    if a.data.ndim == 0:
+        raise ShapeError("logsumexp_rows: need at least a vector, got a scalar")
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=1)
-    out_data = np.log(s) + m[:, 0]
-    sm = e / s[:, None]
+    s = e.sum(axis=-1)
+    out_data = np.log(s) + m[..., 0]
+    sm = e / s[..., None]
 
     def rule(g):
-        _accumulate(a, sm * g[:, None])
+        _accumulate(a, sm * g[..., None])
 
     return Tensor(out_data, _parents=(a,), _backward=rule)
-
-
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "hadamard": mul,
-    "concat": concat,
-    "stack": stack,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "l2_normalize": l2_normalize,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "mean": mean,
-    "sum": tsum,
-    "transpose": transpose,
-}
-
-
-def forward(op_name, inputs):
-    """Name-dispatched forward, for generic checking harnesses."""
-    if op_name not in _OPS:
-        raise ValueError(f"unsupported op {op_name!r}; know {sorted(_OPS)}")
-    fn = _OPS[op_name]
-    if op_name in ("concat", "stack"):
-        return fn(inputs)
-    return fn(*inputs)
 
 
 def finite_diff_check(f, inputs, epsilon=1e-5):

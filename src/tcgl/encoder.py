@@ -46,20 +46,23 @@ def init_encoder(rng, clip_frames, channels, feature_dim):
 
 
 def clip_statistics(clip):
-    """Per-frame per-channel spatial mean and std, frame-major order."""
-    means = clip.mean(axis=(2, 3), dtype=np.float64)
-    stds = clip.std(axis=(2, 3), dtype=np.float64)
-    return np.stack([means, stds], axis=-1).reshape(-1)
+    """Per-frame per-channel spatial mean and std, frame-major order.
+
+    ``clip`` is (..., frames, c, h, w); leading axes are batch axes. Each
+    frame's statistics depend on that frame alone, so the statistics of a
+    frame-set are the matching slice of its snippet's statistics.
+    """
+    means = clip.mean(axis=(-2, -1), dtype=np.float64)
+    stds = clip.std(axis=(-2, -1), dtype=np.float64)
+    return np.stack([means, stds], axis=-1).reshape(*clip.shape[:-4], -1)
 
 
-def encode(clip, params: EncoderParams):
-    """Feature vector for one clip; differentiable w.r.t. params."""
-    if clip.ndim != 4 or clip.size == 0:
-        raise ValueError(f"clip must be a non-empty (frames, c, h, w) array, got shape {clip.shape}")
-    stats = clip_statistics(clip)
-    if stats.size != params.pooled_dim:
+def encode(stats, params: EncoderParams):
+    """Feature of each clip from its ``clip_statistics`` (..., pooled_dim);
+    differentiable w.r.t. params."""
+    if stats.ndim < 1 or stats.shape[-1] != params.pooled_dim:
         raise ValueError(
-            f"clip with {clip.shape[0]} frames x {clip.shape[1]} channels pools to "
-            f"{stats.size} statistics, encoder expects {params.pooled_dim}"
+            f"clip statistics of shape {stats.shape} do not match an encoder "
+            f"expecting {params.pooled_dim} per clip"
         )
     return dc.relu(dc.add(dc.matmul(dc.Tensor(stats), params.weight), params.bias))

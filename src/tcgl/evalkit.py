@@ -5,7 +5,6 @@ Monte-Carlo view statistics, determinism).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,22 +43,26 @@ def load_gallery(path):
     )
 
 
-def embed_video(video, model: trainer.Model, config: trainer.TrainConfig,
+def embed_video(videos, model: trainer.Model, config: trainer.TrainConfig,
                 backbone_only=False):
-    """Retrieval embedding: encoder feature of the chronologically middle
-    snippet, optionally passed through the single-node inter-graph GCN."""
-    snippets = sampler.sample_snippets(video, config.l, config.p, config.n)
-    feat = encoder.encode(snippets[config.n // 2], model.enc_snip)
+    """Retrieval embeddings, one row per video: the encoder feature of its
+    chronologically middle snippet, optionally passed through the
+    inter-graph GCN as a single-node graph. All videos go as one batch."""
+    middle = config.n // 2
+    stats = np.stack([encoder.clip_statistics(
+        sampler.sample_snippets(v, config.l, config.p, config.n)[middle]) for v in videos])
+    feats = encoder.encode(stats[:, None, :], model.enc_snip)  # (V, 1, F)
     if backbone_only:
-        return feat.data.copy()
-    # single node with a self-loop: normalization is 1, so relu(x W)
-    return np.maximum(feat.data @ model.gcn_inter.weight.data, 0.0)
+        return feats.data[:, 0]
+    graph = tgraph.build_chain_graph(feats)
+    view = tgraph.generate_view(graph, 0.0, 0.0, None, 2)
+    return tgraph.gcn_forward(view, model.gcn_inter).data[:, 0]
 
 
 def build_gallery(videos, model, config, split="train", backbone_only=False):
-    rows = [embed_video(v, model, config, backbone_only) for v in videos]
     labels = np.array([v.class_id for v in videos], dtype=np.int64)
-    return EmbeddingGallery(embeddings=np.stack(rows), labels=labels, split=split)
+    return EmbeddingGallery(embeddings=embed_video(videos, model, config, backbone_only),
+                            labels=labels, split=split)
 
 
 def retrieve(query, gallery: EmbeddingGallery, k):
@@ -106,16 +109,10 @@ def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
         raise ValueError("checkpoint configuration does not match this dataset")
     model = trainer.restore_model(ckpt, videos[0].channels if videos else 1)
     indices = range(len(videos)) if indices is None else indices
-    correct = total = 0
-    for idx in indices:
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 6, idx)))
-        perm_id = trainer.val_permutation_id(config.seed, idx, config.n)
-        res = trainer.forward_sample(model, config, videos[idx], perm_id, rng)
-        correct += res.correct
-        total += 1
-    if total == 0:
+    if len(indices) == 0:
         raise ValueError("no videos to evaluate")
-    return correct / total
+    stats = {idx: trainer.video_statistics(videos[idx], config) for idx in indices}
+    return trainer.evaluate(model, config, stats, indices)[1]
 
 
 # -- consolidated verification -----------------------------------------
@@ -193,10 +190,11 @@ def full_loss_gradient_check(seed=3, epsilon=1e-5):
     video = sampler.gen_synthetic_video(seed, label)
     model = trainer.build_model(config)
     params = list(model.named_params().values())
+    stats = trainer.video_statistics(video, config)[None]
 
     def objective(*_):
-        rng = np.random.default_rng(seed)
-        return trainer.forward_sample(model, config, video, 2, rng).loss
+        draws = trainer.draw_batch(config, [np.random.default_rng(seed)], [2])
+        return trainer.forward_sample(model, config, stats, draws).loss[0]
 
     return dc.finite_diff_check(objective, params, epsilon=epsilon)
 
@@ -280,9 +278,10 @@ def _determinism_suite(report, rng):
     config = trainer.TrainConfig(seed=11, feature_dim=8, gcn_dim=8).validate()
     video = sampler.gen_synthetic_video(5, sampler.label_for_class(0))
     model = trainer.build_model(config)
-    values = [float(trainer.forward_sample(model, config, video, 1,
-                                           np.random.default_rng(3)).loss.data)
-              for _ in range(2)]
+    stats = trainer.video_statistics(video, config)[None]
+    values = [float(trainer.forward_sample(
+        model, config, stats, trainer.draw_batch(config, [np.random.default_rng(3)], [1])
+    ).loss.data[0]) for _ in range(2)]
     report.add("determinism/forward_repeat", abs(values[0] - values[1]), 0.0)
 
 
@@ -304,4 +303,4 @@ def monotone_topk(queries, gallery, ks=(1, 5, 10, 20, 50)):
 
 
 def chance_level(n):
-    return 1.0 / len(list(itertools.permutations(range(n))))
+    return 1.0 / sampler.num_permutations(n)

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-
-
-INIT_GAIN = 4.0  # matches the trainer-wide init calibration
+from .tgraph import INIT_GAIN
 
 
 @dataclass
@@ -38,9 +36,9 @@ class OrderHeadParams:
 
 @dataclass
 class OrderPrediction:
-    probabilities: np.ndarray  # (C,), non-negative, sums to 1
-    predicted_id: int
-    log_probs: dc.Tensor  # (C,), kept for the loss
+    probabilities: np.ndarray  # (..., C), non-negative, sums to 1
+    predicted_id: np.ndarray   # (...,) integer ids
+    log_probs: dc.Tensor  # (..., C), kept for the loss
 
 
 def fused_dim(n, c):
@@ -70,14 +68,17 @@ def init_order_head(rng, n, c):
 
 
 def fuse(features, params: OrderHeadParams):
-    """Joint representation of the concatenated shuffled snippet features."""
+    """Joint representation of the concatenated shuffled snippet features.
+
+    Each feature is (..., c); leading axes are batch axes.
+    """
     dims = {f.data.shape for f in features}
     if len(dims) != 1:
-        raise ValueError(f"snippet features must share one dim, got {sorted(dims)}")
-    joint = dc.concat(features)
-    if joint.data.shape[0] != params.w_fuse.shape[0]:
+        raise ValueError(f"snippet features must share one shape, got {sorted(dims)}")
+    joint = dc.concat(features, axis=-1)
+    if joint.data.shape[-1] != params.w_fuse.shape[0]:
         raise ValueError(
-            f"concatenated dim {joint.data.shape[0]} does not match fusion weight "
+            f"concatenated dim {joint.data.shape[-1]} does not match fusion weight "
             f"input dim {params.w_fuse.shape[0]}"
         )
     return dc.add(dc.matmul(joint, params.w_fuse), params.b_fuse)
@@ -96,24 +97,26 @@ def recalibrate(e, f_k):
 
 def predict_order(refined, params: OrderHeadParams):
     """Softmax distribution over the n! permutations from gated features."""
-    x = dc.concat(refined)
+    x = dc.concat(refined, axis=-1)
     h = dc.relu(dc.add(dc.matmul(x, params.w_hidden), params.b_hidden))
     logits = dc.add(dc.matmul(h, params.w_out), params.b_out)
     log_probs = dc.log_softmax(logits)
     probs = np.exp(log_probs.data)
     return OrderPrediction(
         probabilities=probs,
-        predicted_id=int(np.argmax(probs)),
+        predicted_id=np.argmax(probs, axis=-1),
         log_probs=log_probs,
     )
 
 
 def order_loss(pred: OrderPrediction, label):
-    """Cross-entropy -log p[label], taken from the log-softmax directly."""
-    c = pred.log_probs.data.shape[0]
-    if not 0 <= label < c:
-        raise ValueError(f"label {label} out of range for {c} classes")
-    return -pred.log_probs[label]
+    """Cross-entropy -log p[label], taken from the log-softmax directly;
+    ``label`` holds one id per prediction."""
+    label = np.asarray(label)
+    c = pred.log_probs.data.shape[-1]
+    if label.shape != pred.log_probs.data.shape[:-1] or np.any((label < 0) | (label >= c)):
+        raise ValueError(f"labels {label} do not fit predictions over {c} classes")
+    return -pred.log_probs[(*np.indices(label.shape), label)]
 
 
 def order_head_forward(features, label, params: OrderHeadParams):

@@ -10,7 +10,6 @@ video appearance, which is randomized as a nuisance.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import struct
@@ -270,10 +269,3 @@ def load_dataset(data_dir):
         videos.append(video)
     return manifest, videos
 
-
-def all_permutation_ids(n):
-    return list(range(num_permutations(n)))
-
-
-def iter_permutations(n):
-    return itertools.permutations(range(n))

@@ -17,7 +17,7 @@ from . import diffcore as dc
 
 @dataclass
 class TemporalGraph:
-    features: dc.Tensor   # (N, F) node features, chronological order
+    features: dc.Tensor   # (..., N, F) node features, chronological order
     adjacency: np.ndarray  # (N, N) binary, symmetric, zero diagonal
     kind: str = "inter"    # "inter" or "intra"
 
@@ -28,8 +28,8 @@ class TemporalGraph:
 
 @dataclass
 class GraphView:
-    features: dc.Tensor    # (N, F) masked features
-    adjacency: np.ndarray  # (N, N) reduced adjacency
+    features: dc.Tensor    # (..., N, F) masked features
+    adjacency: np.ndarray  # (..., N, N) reduced adjacency
     origin: TemporalGraph = None
     view_index: int = 1
 
@@ -64,44 +64,69 @@ def chain_adjacency(n):
 
 
 def build_chain_graph(features, kind="inter"):
-    """Undirected chain graph over chronologically ordered node features."""
+    """Undirected chain graph over chronologically ordered node features.
+
+    Features are (..., N, F); leading axes hold a batch of graphs that
+    share the one chain adjacency.
+    """
     if not isinstance(features, dc.Tensor):
         features = dc.Tensor(features)
-    if features.data.ndim != 2 or features.data.shape[0] < 1:
-        raise ValueError(f"features must be a non-empty (N, F) matrix, got shape {features.data.shape}")
-    return TemporalGraph(features=features, adjacency=chain_adjacency(features.data.shape[0]), kind=kind)
+    if features.data.ndim < 2 or features.data.shape[-2] < 1:
+        raise ValueError(f"features must be non-empty (..., N, F), got shape {features.data.shape}")
+    return TemporalGraph(features=features, adjacency=chain_adjacency(features.data.shape[-2]),
+                         kind=kind)
+
+
+def draw_view(adjacency, feature_dim, p_r, p_m, rng):
+    """The random part of one view: (adjacency, feature mask).
+
+    One coin per undirected edge, in row-major order of the upper triangle,
+    then one per feature dim. With p_r = p_m = 0 nothing is drawn and the
+    mask is None.
+    """
+    if not (0.0 <= p_r <= 1.0 and 0.0 <= p_m <= 1.0):
+        raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_m={p_m}")
+    adj = adjacency.copy()
+    if p_r == 0.0 and p_m == 0.0:
+        return adj, None
+    iu, ju = np.nonzero(adjacency == 1)
+    upper = iu < ju
+    iu, ju = iu[upper], ju[upper]
+    keep = rng.random(iu.size) >= p_r
+    adj[iu, ju] = keep
+    adj[ju, iu] = keep
+    return adj, (rng.random(feature_dim) >= p_m).astype(np.float64)
+
+
+def apply_view(g: TemporalGraph, adjacency, mask, view_index=1):
+    """The view of ``g`` with the drawn adjacency and feature mask (None
+    masks nothing); with leading batch axes, each graph gets its own."""
+    features = g.features if mask is None else dc.mul(g.features, dc.Tensor(mask))
+    return GraphView(features=features, adjacency=adjacency, origin=g, view_index=view_index)
 
 
 def generate_view(g: TemporalGraph, p_r, p_m, rng, view_index=1):
     """Corrupted copy: edges removed with prob p_r, feature dims masked with p_m."""
-    if not (0.0 <= p_r <= 1.0 and 0.0 <= p_m <= 1.0):
-        raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_m={p_m}")
-    if p_r == 0.0 and p_m == 0.0:
-        return GraphView(features=g.features, adjacency=g.adjacency.copy(),
-                         origin=g, view_index=view_index)
-    n = g.num_nodes
-    adj = g.adjacency.copy()
-    iu, ju = np.where(np.triu(g.adjacency) == 1)
-    keep = rng.random(iu.size) >= p_r
-    adj[iu, ju] = keep
-    adj[ju, iu] = keep
-    f = g.features.data.shape[1]
-    mask = (rng.random(f) >= p_m).astype(g.features.data.dtype)
-    features = dc.mul(g.features, dc.Tensor(mask))
-    return GraphView(features=features, adjacency=adj, origin=g, view_index=view_index)
+    adj, mask = draw_view(g.adjacency, g.features.data.shape[-1], p_r, p_m, rng)
+    return apply_view(g, adj, mask, view_index)
 
 
 def _propagation_matrix(adjacency):
-    a_hat = adjacency.astype(np.float64) + np.eye(adjacency.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    """D^-1/2 (A + I) D^-1/2 of each (..., N, N) adjacency."""
+    a_hat = adjacency.astype(np.float64) + np.eye(adjacency.shape[-1])
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    return a_hat * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
 def gcn_forward(view: GraphView, params: GcnParams):
-    """relu(D^-1/2 (A + I) D^-1/2 X W), symmetric normalization with self-loops."""
-    if view.features.data.shape[1] != params.weight.shape[0]:
+    """relu(D^-1/2 (A + I) D^-1/2 X W), symmetric normalization with self-loops.
+
+    Features are (..., N, F) and adjacency (..., N, N); leading axes are
+    graphs of one batch and broadcast against each other.
+    """
+    if view.features.data.shape[-1] != params.weight.shape[0]:
         raise ValueError(
-            f"feature dim {view.features.data.shape[1]} does not match GCN weight "
+            f"feature dim {view.features.data.shape[-1]} does not match GCN weight "
             f"input dim {params.weight.shape[0]}"
         )
     s = dc.Tensor(_propagation_matrix(view.adjacency))

@@ -116,10 +116,23 @@ class Checkpoint:
 
 @dataclass
 class SampleResult:
-    loss: dc.Tensor
-    graph_loss: float
-    order_loss: float
-    correct: bool
+    """Per-sample results of one batch through ``forward_sample``."""
+
+    loss: dc.Tensor          # (B,) joint loss of each sample
+    graph_loss: np.ndarray   # (B,)
+    order_loss: np.ndarray   # (B,)
+    correct: np.ndarray      # (B,) bool, order predicted right
+
+
+@dataclass
+class Draws:
+    """A batch's randomness: permutation ids and the drawn view-1
+    (adjacency, feature mask) pairs of its inter graphs and, when the intra
+    branch runs, its intra graphs; masks are None when nothing is masked."""
+
+    perm_ids: np.ndarray  # (B,)
+    inter: tuple          # ((B, n, n), (B, 1, F) or None)
+    intra: tuple = None   # ((B, n, m, m), (B, n, 1, F) or None)
 
 
 def build_model(config: TrainConfig, channels=1):
@@ -136,50 +149,99 @@ def build_model(config: TrainConfig, channels=1):
     )
 
 
-def forward_sample(model: Model, config: TrainConfig, video, permutation_id, rng):
-    """Loss and prediction for one video under one permutation draw."""
+def video_statistics(video, config: TrainConfig):
+    """Clip statistics of the video's n snippets, (n, pooled_dim).
+
+    Snippet positions take no randomness, so a run computes these once per
+    video; reshaped to (n, m, -1) they are the frame-sets' statistics.
+    """
     snippets = sampler.sample_snippets(video, config.l, config.p, config.n)
-    tup = sampler.shuffle_tuple(snippets, permutation_id)
-    chrono_feats = [encoder.encode(s, model.enc_snip) for s in snippets]
-    inter_graph = tgraph.build_chain_graph(dc.stack(chrono_feats), kind="inter")
-    view1 = tgraph.generate_view(inter_graph, config.p_r, config.p_m, rng, 1)
-    view2 = tgraph.generate_view(inter_graph, 0.0, 0.0, rng, 2)
+    return encoder.clip_statistics(np.stack(snippets))
+
+
+def _uses_inter(config):
+    return config.lambda_g != 0 and config.beta != 0
+
+
+def _uses_intra(config):
+    return config.lambda_g != 0 and config.alpha != 0
+
+
+def _stack_views(views, lead):
+    """Drawn (adjacency, mask) pairs as arrays with leading axes ``lead``;
+    each mask gets a node axis so it broadcasts over its graph's nodes."""
+    adjacency = np.stack([adj for adj, _ in views])
+    adjacency = adjacency.reshape(*lead, *adjacency.shape[1:])
+    if views[0][1] is None:
+        return adjacency, None
+    return adjacency, np.stack([mask for _, mask in views]).reshape(*lead, 1, -1)
+
+
+def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
+    """Draw a batch's randomness before its forward pass.
+
+    Sample i draws from ``rngs[i]`` (one generator repeated when the batch
+    shares a stream): its permutation id unless ``permutation_ids`` gives
+    it, the view 1 of its inter graph, then, when the intra branch runs,
+    the view 1 of each snippet's intra graph.
+    """
+    chain_n = tgraph.chain_adjacency(config.n)
+    chain_m = tgraph.chain_adjacency(config.m)
+    ids, inter, intra = [], [], []
+    for i, rng in enumerate(rngs):
+        ids.append(int(rng.integers(sampler.num_permutations(config.n)))
+                   if permutation_ids is None else int(permutation_ids[i]))
+        inter.append(tgraph.draw_view(chain_n, config.feature_dim, config.p_r,
+                                      config.p_m, rng))
+        if _uses_intra(config):
+            intra += [tgraph.draw_view(chain_m, config.feature_dim, config.p_r,
+                                       config.p_m, rng) for _ in range(config.n)]
+    b = len(ids)
+    return Draws(perm_ids=np.array(ids), inter=_stack_views(inter, (b,)),
+                 intra=_stack_views(intra, (b, config.n)) if intra else None)
+
+
+def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
+    """Per-sample losses and predictions of a batch of videos, on one tape.
+
+    ``stats`` is (B, n, pooled_dim), each video's ``video_statistics``;
+    ``draws`` comes from ``draw_batch``. One video is the batch of one.
+    """
+    b, n = stats.shape[0], config.n
+    feats = encoder.encode(stats, model.enc_snip)  # (B, n, F)
+    inter_graph = tgraph.build_chain_graph(feats, kind="inter")
+    view2 = tgraph.generate_view(inter_graph, 0.0, 0.0, None, 2)
     v_embed = tgraph.gcn_forward(view2, model.gcn_inter)
 
-    use_graph = config.lambda_g != 0 and (config.alpha != 0 or config.beta != 0)
-    if use_graph:
-        if config.beta != 0:
-            u_embed = tgraph.gcn_forward(view1, model.gcn_inter)
-            j_inter = contrast.graph_loss(u_embed, v_embed, config.tau, model.proj_inter)
-        else:
-            j_inter = dc.Tensor(0.0)
-        intra_losses = []
-        if config.alpha != 0:
-            for snippet in snippets:
-                frame_feats = [encoder.encode(f, model.enc_frame)
-                               for f in sampler.split_framesets(snippet, config.m)]
-                g = tgraph.build_chain_graph(dc.stack(frame_feats), kind="intra")
-                iv1 = tgraph.generate_view(g, config.p_r, config.p_m, rng, 1)
-                iv2 = tgraph.generate_view(g, 0.0, 0.0, rng, 2)
-                intra_losses.append(contrast.graph_loss(
-                    tgraph.gcn_forward(iv1, model.gcn_intra),
-                    tgraph.gcn_forward(iv2, model.gcn_intra),
-                    config.tau, model.proj_intra))
-        j_graph = contrast.total_graph_loss(intra_losses, j_inter,
-                                            config.alpha, config.beta)
-    else:
-        j_graph = dc.Tensor(0.0)
+    j_inter = dc.Tensor(np.zeros(b))
+    if _uses_inter(config):
+        view1 = tgraph.apply_view(inter_graph, *draws.inter)
+        u_embed = tgraph.gcn_forward(view1, model.gcn_inter)
+        j_inter = contrast.graph_loss(u_embed, v_embed, config.tau, model.proj_inter)
+    intra_losses = dc.Tensor(np.zeros((b, 0)))
+    if _uses_intra(config):
+        frame_stats = stats.reshape(b, n, config.m, -1)
+        g = tgraph.build_chain_graph(encoder.encode(frame_stats, model.enc_frame),
+                                     kind="intra")  # (B, n, m, F)
+        iv1 = tgraph.apply_view(g, *draws.intra)
+        iv2 = tgraph.generate_view(g, 0.0, 0.0, None, 2)
+        intra_losses = contrast.graph_loss(
+            tgraph.gcn_forward(iv1, model.gcn_intra),
+            tgraph.gcn_forward(iv2, model.gcn_intra),
+            config.tau, model.proj_intra)  # (B, n)
+    j_graph = contrast.total_graph_loss(intra_losses, j_inter, config.alpha, config.beta)
 
-    perm = tup.permutation()
-    shuffled_feats = [v_embed[int(perm[j])] for j in range(config.n)]
-    pred, j_order = orderhead.order_head_forward(shuffled_feats, permutation_id,
+    perms = np.array([sampler.permutation_from_id(int(pid), n) for pid in draws.perm_ids])
+    rows = np.arange(b)
+    shuffled_feats = [v_embed[rows, perms[:, j]] for j in range(n)]
+    pred, j_order = orderhead.order_head_forward(shuffled_feats, draws.perm_ids,
                                                  model.order)
     loss = orderhead.total_loss(j_graph, j_order, config.lambda_g, config.lambda_o)
     return SampleResult(
         loss=loss,
-        graph_loss=float(j_graph.data),
-        order_loss=float(j_order.data),
-        correct=pred.predicted_id == permutation_id,
+        graph_loss=j_graph.data,
+        order_loss=j_order.data,
+        correct=pred.predicted_id == draws.perm_ids,
     )
 
 
@@ -217,15 +279,20 @@ def val_permutation_id(seed, video_index, n):
     return int(rng.integers(sampler.num_permutations(n)))
 
 
-def _evaluate(model, config, videos, indices):
-    """Mean loss and order accuracy over a split with per-video fixed draws."""
+def evaluate(model, config, stats, indices):
+    """Mean loss and order accuracy over ``indices``, in batches of
+    ``batch_size``; each video's draws come from its own (seed, idx)
+    generators, so they do not depend on the batching. ``stats[idx]`` is
+    video idx's ``video_statistics``."""
+    indices = list(indices)
     total, correct = 0.0, 0
-    for idx in indices:
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 6, idx)))
-        res = forward_sample(model, config, videos[idx],
-                             val_permutation_id(config.seed, idx, config.n), rng)
-        total += float(res.loss.data)
-        correct += res.correct
+    for start in range(0, len(indices), config.batch_size):
+        chunk = indices[start:start + config.batch_size]
+        draws = draw_batch(config, [_epoch_rng(config.seed, 6, idx) for idx in chunk],
+                           [val_permutation_id(config.seed, idx, config.n) for idx in chunk])
+        res = forward_sample(model, config, np.stack([stats[idx] for idx in chunk]), draws)
+        total += res.loss.data.sum()
+        correct += int(res.correct.sum())
     return total / len(indices), correct / len(indices)
 
 
@@ -305,6 +372,7 @@ def train(config: TrainConfig, resume_from=None, log=None):
         best_val = float("inf")
 
     params = model.named_params()
+    stats = [video_statistics(v, config) for v in videos]
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,26 +386,20 @@ def train(config: TrainConfig, resume_from=None, log=None):
         sums = np.zeros(3)
         correct = 0
         for batch_start in range(0, len(order), config.batch_size):
-            batch = order[batch_start:batch_start + config.batch_size]
-            grads = {k: np.zeros_like(t.data) for k, t in params.items()}
-            for j in batch:
-                idx = train_idx[int(j)]
-                perm_id = int(rng.integers(sampler.num_permutations(config.n)))
-                res = forward_sample(model, config, videos[idx], perm_id, rng)
-                for tensor in params.values():
-                    tensor.grad = None
-                dc.backward(res.loss)
-                for name, tensor in params.items():
-                    if tensor.grad is not None:
-                        grads[name] += tensor.grad
-                sums += (float(res.loss.data), res.graph_loss, res.order_loss)
-                correct += res.correct
-            for name in grads:
-                grads[name] /= len(batch)
+            batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
+            draws = draw_batch(config, [rng] * len(batch))
+            res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
+            for tensor in params.values():
+                tensor.grad = None
+            dc.backward(dc.tsum(res.loss))
+            grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad) / len(batch)
+                     for name, t in params.items()}
             sgd_step(params, grads, state, lr, config.momentum, config.weight_decay)
+            sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
+            correct += int(res.correct.sum())
 
         n_train = len(train_idx)
-        val_loss, val_acc = _evaluate(model, config, videos, val_idx)
+        val_loss, val_acc = evaluate(model, config, stats, val_idx)
         row = {
             "epoch": epoch,
             "total_loss": sums[0] / n_train,
@@ -375,11 +437,12 @@ def train(config: TrainConfig, resume_from=None, log=None):
     return best_ckpt, rows
 
 
+METRIC_FIELDS = ("epoch", "total_loss", "graph_loss", "order_loss",
+                 "train_acc", "val_acc", "val_loss")
+
+
 def write_metrics(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "total_loss", "graph_loss", "order_loss",
-                         "train_acc", "val_acc"])
-        for row in rows:
-            writer.writerow([row["epoch"], row["total_loss"], row["graph_loss"],
-                             row["order_loss"], row["train_acc"], row["val_acc"]])
+        writer.writerow(METRIC_FIELDS)
+        writer.writerows([row[k] for k in METRIC_FIELDS] for row in rows)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tcgl.diffcore as dc
 
@@ -83,9 +85,41 @@ def test_logsumexp_rows_is_stable_for_large_inputs():
     assert out.data[0] == pytest.approx(1000.0 + np.log(2.0))
 
 
-@pytest.mark.parametrize("name", sorted(dc._OPS))
+_X = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]])
+_Y = np.array([[1.0, 2.0, 0.5], [-0.5, 1.0, 3.0]])
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# Each op by name: the diffcore function, its inputs, and its numpy reference.
+_NAMED_OPS = {
+    "matmul": (dc.matmul, (_X, _Y.T), lambda x, y: x @ y),
+    "add": (dc.add, (_X, _Y), np.add),
+    "hadamard": (dc.mul, (_X, _Y), np.multiply),
+    "concat": (lambda a, b: dc.concat([a, b]), (_X, _Y), lambda x, y: np.concatenate([x, y])),
+    "stack": (lambda a, b: dc.stack([a, b]), (_X, _Y), lambda x, y: np.stack([x, y])),
+    "relu": (dc.relu, (_X,), lambda x: np.maximum(x, 0.0)),
+    "exp": (dc.exp, (_X,), np.exp),
+    "log": (dc.log, (np.abs(_X),), np.log),
+    "l2_normalize": (dc.l2_normalize, (_X,),
+                     lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True)),
+    "softmax": (dc.softmax, (_X,), _softmax),
+    "log_softmax": (dc.log_softmax, (_X,), lambda x: np.log(_softmax(x))),
+    "mean": (dc.mean, (_X,), np.mean),
+    "sum": (dc.tsum, (_X,), np.sum),
+    "transpose": (dc.transpose, (_X,), lambda x: np.swapaxes(x, -1, -2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_OPS))
 def test_forward_dispatch_names(name):
-    assert callable(dc._OPS[name])
+    fn, inputs, reference = _NAMED_OPS[name]
+    out = fn(*(dc.Tensor(x) for x in inputs))
+    assert isinstance(out, dc.Tensor)
+    assert np.allclose(out.data, reference(*inputs))
 
 
 def _fd_ok(f, inputs, tol=1e-4):
@@ -119,3 +153,77 @@ def test_finite_diff_reports_nonfinite():
     bad = dc.Tensor(np.array([1.0, np.inf]), requires_grad=True)
     with pytest.raises(FloatingPointError):
         dc.finite_diff_check(lambda t: dc.tsum(t * 2.0), [bad])
+
+
+def test_getitem_backward_counts_repeated_indices():
+    x = dc.Tensor(np.zeros(3), requires_grad=True)
+    dc.backward(dc.tsum(x[[0, 0, 1]]))
+    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
+
+
+# -- property tests: generalized ops against finite differences ----------
+
+_settings = settings(max_examples=100, deadline=None)
+_dim = st.integers(1, 3)
+
+
+def _values(shape):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-2, 2, allow_nan=False))
+
+
+@st.composite
+def _matmul_operands(draw):
+    """Operands with broadcasting batch axes; without batch axes either may be 1-D."""
+    n, k, m = draw(_dim), draw(_dim), draw(_dim)
+    a_batch, b_batch = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, max_dims=2, max_side=3)).input_shapes
+    a_shape = (k,) if not a_batch and draw(st.booleans()) else a_batch + (n, k)
+    b_shape = (k,) if not b_batch and draw(st.booleans()) else b_batch + (k, m)
+    return draw(_values(a_shape)), draw(_values(b_shape))
+
+
+@_settings
+@given(_matmul_operands())
+def test_matmul_property_matches_numpy_and_finite_differences(operands):
+    a = dc.Tensor(operands[0], requires_grad=True)
+    b = dc.Tensor(operands[1], requires_grad=True)
+    assert np.allclose((a @ b).data, np.matmul(a.data, b.data))
+    probe = np.random.default_rng(0).standard_normal(np.matmul(a.data, b.data).shape)
+    err = dc.finite_diff_check(lambda x, y: dc.tsum(dc.mul(x @ y, probe)), [a, b])
+    assert err < 1e-6
+
+
+@_settings
+@given(hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=3).flatmap(_values))
+def test_transpose_property_swaps_last_axes(data):
+    x = dc.Tensor(data, requires_grad=True)
+    assert np.array_equal(dc.transpose(x).data, np.swapaxes(data, -1, -2))
+    probe = np.random.default_rng(1).standard_normal(np.swapaxes(data, -1, -2).shape)
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.transpose(t), probe)), [x]) < 1e-6
+
+
+@_settings
+@given(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4).flatmap(_values))
+def test_logsumexp_property_reduces_last_axis(data):
+    x = dc.Tensor(data, requires_grad=True)
+    out = dc.logsumexp_rows(x)
+    assert out.shape == data.shape[:-1]
+    assert np.allclose(out.data, np.log(np.exp(data).sum(axis=-1)))
+    probe = np.random.default_rng(2).standard_normal(out.shape)
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.logsumexp_rows(t), probe)), [x]) < 1e-6
+
+
+@_settings
+@given(st.data())
+def test_getitem_property_fancy_and_repeated_indices(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+    x = dc.Tensor(data.draw(_values(shape)), requires_grad=True)
+    count = data.draw(st.integers(1, 6))
+    idx = tuple(np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=count, max_size=count)))
+                for d in shape[:data.draw(st.integers(1, len(shape)))])
+    probe = np.random.default_rng(3).standard_normal(x.data[idx].shape)
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(t[idx], probe)), [x]) < 1e-6
+    dc.backward(dc.tsum(x[idx]))
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, 1.0)
+    assert np.array_equal(x.grad, expected)

@@ -29,7 +29,7 @@ def test_clip_statistics_layout(clip):
 
 def test_encode_shape_and_nonnegativity(clip, rng):
     params = encoder.init_encoder(rng, 16, 1, feature_dim=12)
-    feat = encoder.encode(clip, params)
+    feat = encoder.encode(encoder.clip_statistics(clip), params)
     assert feat.shape == (12,)
     assert np.all(feat.data >= 0.0)
 
@@ -37,7 +37,7 @@ def test_encode_shape_and_nonnegativity(clip, rng):
 def test_encode_rejects_mismatched_params(clip, rng):
     params = encoder.init_encoder(rng, 8, 1, feature_dim=12)
     with pytest.raises(ValueError):
-        encoder.encode(clip, params)
+        encoder.encode(encoder.clip_statistics(clip), params)
 
 
 def test_init_bound_follows_fan_in(rng):
@@ -51,8 +51,20 @@ def test_encode_gradient_matches_finite_differences(clip, rng):
     params = encoder.init_encoder(rng, 16, 1, feature_dim=6)
 
     def f(w, b):
-        feat = encoder.encode(clip, encoder.EncoderParams(weight=w, bias=b))
+        feat = encoder.encode(encoder.clip_statistics(clip),
+                              encoder.EncoderParams(weight=w, bias=b))
         return dc.tsum(feat)
 
     err = dc.finite_diff_check(f, [params.weight, params.bias])
     assert err < 1e-4
+
+
+def test_batched_statistics_equal_each_clip_and_frame_set():
+    video = sampler.gen_synthetic_video(4, sampler.label_for_class(1))
+    snippets = sampler.sample_snippets(video, 16, 8, 3)
+    batched = encoder.clip_statistics(np.stack(snippets))
+    assert batched.shape == (3, 32)
+    for k, snippet in enumerate(snippets):
+        assert np.array_equal(batched[k], encoder.clip_statistics(snippet))
+        for j, frames in enumerate(sampler.split_framesets(snippet, 4)):
+            assert np.array_equal(batched[k].reshape(4, -1)[j], encoder.clip_statistics(frames))

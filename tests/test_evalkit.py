@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tcgl import evalkit, sampler, trainer
+import tcgl.diffcore as dc
+from tcgl import encoder, evalkit, sampler, trainer
 
 from conftest import small_config
 
@@ -93,6 +94,22 @@ def test_monotone_topk_reports_accuracies():
     assert len(accs) == 3
     assert mono
     assert accs[-1] == pytest.approx(1.0)
+
+
+def test_gallery_embedding_is_the_single_node_gcn_with_its_bias(small_dataset):
+    cfg = small_config(str(small_dataset))
+    _, videos = sampler.load_dataset(small_dataset)
+    model = trainer.build_model(cfg)
+    model.gcn_inter.bias = dc.Tensor(np.linspace(-1.0, 1.0, cfg.gcn_dim))
+    gallery = evalkit.build_gallery(videos[:5], model, cfg)
+    backbone = evalkit.build_gallery(videos[:5], model, cfg, backbone_only=True)
+    for row, feat, video in zip(gallery.embeddings, backbone.embeddings, videos):
+        middle = sampler.sample_snippets(video, cfg.l, cfg.p, cfg.n)[cfg.n // 2]
+        stats = encoder.clip_statistics(middle)
+        want_feat = np.maximum(stats @ model.enc_snip.weight.data + model.enc_snip.bias.data, 0)
+        assert np.allclose(feat, want_feat, rtol=1e-12, atol=1e-12)
+        want = np.maximum(feat @ model.gcn_inter.weight.data + model.gcn_inter.bias.data, 0)
+        assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
 
 
 def test_chance_level():

@@ -164,4 +164,63 @@ def test_write_metrics_produces_csv(tmp_path):
     trainer.write_metrics(path, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "epoch"
-    assert lines[1].startswith("1,2.0,1.5,0.5,0.5,0.25")
+    assert lines[0].split(",")[-1] == "val_loss"
+    assert lines[1] == "1,2.0,1.5,0.5,0.5,0.25,2.1"
+
+
+def _sample_losses_and_grads(model, config, stats, draws):
+    params = model.named_params()
+    for tensor in params.values():
+        tensor.grad = None
+    res = trainer.forward_sample(model, config, stats, draws)
+    dc.backward(dc.tsum(res.loss))
+    grads = {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for k, t in params.items()}
+    return res, grads
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_batch_matches_batches_of_one(small_dataset, alpha, beta):
+    cfg = small_config(str(small_dataset), alpha=alpha, beta=beta)
+    _, videos = sampler.load_dataset(small_dataset)
+    model = trainer.build_model(cfg)
+    stats = np.stack([trainer.video_statistics(v, cfg) for v in videos[:6]])
+
+    # a shared stream is drawn sample by sample, in the per-video order
+    batch_draws = trainer.draw_batch(cfg, [np.random.default_rng(4)] * 6)
+    rng = np.random.default_rng(4)
+    single_draws = [trainer.draw_batch(cfg, [rng]) for _ in range(6)]
+    assert batch_draws.perm_ids.tolist() == [d.perm_ids[0] for d in single_draws]
+
+    batch, batch_grads = _sample_losses_and_grads(model, cfg, stats, batch_draws)
+    summed = {k: np.zeros_like(g) for k, g in batch_grads.items()}
+    for i, draws in enumerate(single_draws):
+        one, grads = _sample_losses_and_grads(model, cfg, stats[i:i + 1], draws)
+        assert abs(one.loss.data[0] - batch.loss.data[i]) <= 1e-12 * abs(one.loss.data[0])
+        assert one.graph_loss[0] == pytest.approx(batch.graph_loss[i], rel=1e-12)
+        assert one.correct[0] == batch.correct[i]
+        for k in summed:
+            summed[k] += grads[k]
+    for k, g in summed.items():
+        assert np.max(np.abs(batch_grads[k] - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300), k
+
+
+# Metrics rows of a 2-epoch run of small_config on small_dataset, recorded
+# with the per-video training step that the batched one replaced.
+PER_VIDEO_ROWS = [
+    {"epoch": 0, "total_loss": 12.57376360794377, "graph_loss": 7.20567652297195,
+     "order_loss": 5.368087084971821, "train_acc": 0.18518518518518517,
+     "val_acc": 0.0, "val_loss": 10.669822980571567},
+    {"epoch": 1, "total_loss": 10.71046993715671, "graph_loss": 7.230251997886752,
+     "order_loss": 3.4802179392699544, "train_acc": 0.14814814814814814,
+     "val_acc": 0.3333333333333333, "val_loss": 9.206284328615492},
+]
+
+
+def test_batched_training_reproduces_per_video_rows(small_dataset):
+    _, rows = trainer.train(small_config(str(small_dataset)))
+    assert len(rows) == len(PER_VIDEO_ROWS)
+    for row, ref in zip(rows, PER_VIDEO_ROWS):
+        assert row.keys() == ref.keys()
+        for key, want in ref.items():
+            assert row[key] == pytest.approx(want, rel=1e-9, abs=0), key
