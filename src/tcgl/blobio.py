@@ -27,8 +27,9 @@ def save_arrays(dir_path, arrays, meta=None):
     offset = 0
     with open(out / "data.bin", "wb") as blob:
         for name, arr in arrays.items():
-            if any(ch.isspace() for ch in name):
-                raise ValueError(f"array name {name!r} must not contain whitespace")
+            if not name or name[0] == "#" or any(ch.isspace() for ch in name):
+                raise ValueError(f"array name {name!r} must be non-empty, without whitespace "
+                                 "and not start with '#'")
             arr = np.asarray(arr)
             dtype = "<f4" if arr.dtype == np.float32 else "<f8"
             raw = arr.astype(dtype).tobytes()

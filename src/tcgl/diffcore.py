@@ -22,7 +22,7 @@ class Tensor:
     """A dense array plus an optional gradient slot.
 
     Arithmetic on tensors records backward rules on the implicit tape
-    (parent links); ``backward`` on a scalar output fills ``grad`` on
+    (parent links); ``backward(loss)`` on a scalar loss fills ``grad`` on
     every reachable tensor that requires it.
     """
 
@@ -47,12 +47,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -87,9 +81,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x):

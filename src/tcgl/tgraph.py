@@ -19,18 +19,12 @@ from . import diffcore as dc
 class TemporalGraph:
     features: dc.Tensor   # (..., N, F) node features, chronological order
     adjacency: np.ndarray  # (N, N) binary, symmetric, zero diagonal
-    kind: str = "inter"    # "inter" or "intra"
-
-    @property
-    def num_nodes(self):
-        return self.adjacency.shape[0]
 
 
 @dataclass
 class GraphView:
     features: dc.Tensor    # (..., N, F) masked features
     adjacency: np.ndarray  # (..., N, N) reduced adjacency
-    origin: TemporalGraph = None
     view_index: int = 1
 
 
@@ -63,7 +57,7 @@ def chain_adjacency(n):
     return a
 
 
-def build_chain_graph(features, kind="inter"):
+def build_chain_graph(features):
     """Undirected chain graph over chronologically ordered node features.
 
     Features are (..., N, F); leading axes hold a batch of graphs that
@@ -73,42 +67,48 @@ def build_chain_graph(features, kind="inter"):
         features = dc.Tensor(features)
     if features.data.ndim < 2 or features.data.shape[-2] < 1:
         raise ValueError(f"features must be non-empty (..., N, F), got shape {features.data.shape}")
-    return TemporalGraph(features=features, adjacency=chain_adjacency(features.data.shape[-2]),
-                         kind=kind)
+    return TemporalGraph(features=features, adjacency=chain_adjacency(features.data.shape[-2]))
 
 
-def draw_view(adjacency, feature_dim, p_r, p_m, rng):
-    """The random part of one view: (adjacency, feature mask).
+def coin_count(adjacency, feature_dim):
+    """Coins one view of a graph draws: one per undirected edge, then one
+    per feature dim."""
+    return int(np.count_nonzero(np.triu(adjacency, 1))) + feature_dim
 
-    One coin per undirected edge, in row-major order of the upper triangle,
-    then one per feature dim. With p_r = p_m = 0 nothing is drawn and the
-    mask is None.
+
+def view_from_coins(coins, adjacency, p_r, p_m):
+    """(adjacency, feature mask) of the views that uniform coins select.
+
+    ``coins`` is (..., E + F), ``coin_count`` coins per view: an edge of
+    ``adjacency`` (row-major over the upper triangle) stays when its coin
+    is >= p_r, a feature dim when its coin is >= p_m. Leading axes give a
+    batch of views, (..., N, N) adjacencies and (..., 1, F) masks that
+    broadcast over each graph's nodes.
     """
     if not (0.0 <= p_r <= 1.0 and 0.0 <= p_m <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_m={p_m}")
-    adj = adjacency.copy()
-    if p_r == 0.0 and p_m == 0.0:
-        return adj, None
-    iu, ju = np.nonzero(adjacency == 1)
-    upper = iu < ju
-    iu, ju = iu[upper], ju[upper]
-    keep = rng.random(iu.size) >= p_r
-    adj[iu, ju] = keep
-    adj[ju, iu] = keep
-    return adj, (rng.random(feature_dim) >= p_m).astype(np.float64)
+    iu, ju = np.nonzero(np.triu(adjacency, 1))
+    keep = coins[..., :iu.size] >= p_r
+    adj = np.broadcast_to(adjacency, (*coins.shape[:-1], *adjacency.shape)).copy()
+    adj[..., iu, ju] = keep
+    adj[..., ju, iu] = keep
+    return adj, (coins[..., None, iu.size:] >= p_m).astype(np.float64)
 
 
 def apply_view(g: TemporalGraph, adjacency, mask, view_index=1):
-    """The view of ``g`` with the drawn adjacency and feature mask (None
-    masks nothing); with leading batch axes, each graph gets its own."""
-    features = g.features if mask is None else dc.mul(g.features, dc.Tensor(mask))
-    return GraphView(features=features, adjacency=adjacency, origin=g, view_index=view_index)
+    """The view of ``g`` with the given adjacency and feature mask; with
+    leading batch axes, each graph gets its own."""
+    return GraphView(features=dc.mul(g.features, dc.Tensor(mask)), adjacency=adjacency,
+                     view_index=view_index)
 
 
 def generate_view(g: TemporalGraph, p_r, p_m, rng, view_index=1):
-    """Corrupted copy: edges removed with prob p_r, feature dims masked with p_m."""
-    adj, mask = draw_view(g.adjacency, g.features.data.shape[-1], p_r, p_m, rng)
-    return apply_view(g, adj, mask, view_index)
+    """Corrupted copy: edges removed with prob p_r, feature dims masked with
+    p_m. With p_r = p_m = 0 nothing is drawn and ``g``'s tensors are reused."""
+    if p_r == 0.0 and p_m == 0.0:
+        return GraphView(features=g.features, adjacency=g.adjacency, view_index=view_index)
+    coins = rng.random(coin_count(g.adjacency, g.features.data.shape[-1]))
+    return apply_view(g, *view_from_coins(coins, g.adjacency, p_r, p_m), view_index)
 
 
 def _propagation_matrix(adjacency):

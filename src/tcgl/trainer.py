@@ -85,23 +85,15 @@ class Model:
     order: orderhead.OrderHeadParams
 
     def named_params(self):
+        """Every parameter tensor as "block.leaf", in field order; a leaf
+        left None (a GCN without bias) is not a parameter."""
         out = {}
-        for block_name in ("enc_snip", "enc_frame"):
-            block = getattr(self, block_name)
-            out[f"{block_name}.weight"] = block.weight
-            out[f"{block_name}.bias"] = block.bias
-        for block_name in ("gcn_inter", "gcn_intra"):
-            block = getattr(self, block_name)
-            out[f"{block_name}.weight"] = block.weight
-            if block.bias is not None:
-                out[f"{block_name}.bias"] = block.bias
-        for block_name in ("proj_inter", "proj_intra"):
-            block = getattr(self, block_name)
-            for leaf in ("w1", "b1", "w2", "b2"):
-                out[f"{block_name}.{leaf}"] = getattr(block, leaf)
-        for leaf in ("w_fuse", "b_fuse", "w_excite", "b_excite",
-                     "w_hidden", "b_hidden", "w_out", "b_out"):
-            out[f"order.{leaf}"] = getattr(self.order, leaf)
+        for block in fields(self):
+            params = getattr(self, block.name)
+            for leaf in fields(params):
+                tensor = getattr(params, leaf.name)
+                if tensor is not None:
+                    out[f"{block.name}.{leaf.name}"] = tensor
         return out
 
 
@@ -128,11 +120,11 @@ class SampleResult:
 class Draws:
     """A batch's randomness: permutation ids and the drawn view-1
     (adjacency, feature mask) pairs of its inter graphs and, when the intra
-    branch runs, its intra graphs; masks are None when nothing is masked."""
+    branch runs, its intra graphs."""
 
     perm_ids: np.ndarray  # (B,)
-    inter: tuple          # ((B, n, n), (B, 1, F) or None)
-    intra: tuple = None   # ((B, n, m, m), (B, n, 1, F) or None)
+    inter: tuple          # ((B, n, n), (B, 1, F))
+    intra: tuple = None   # ((B, n, m, m), (B, n, 1, F))
 
 
 def build_model(config: TrainConfig, channels=1):
@@ -167,38 +159,30 @@ def _uses_intra(config):
     return config.lambda_g != 0 and config.alpha != 0
 
 
-def _stack_views(views, lead):
-    """Drawn (adjacency, mask) pairs as arrays with leading axes ``lead``;
-    each mask gets a node axis so it broadcasts over its graph's nodes."""
-    adjacency = np.stack([adj for adj, _ in views])
-    adjacency = adjacency.reshape(*lead, *adjacency.shape[1:])
-    if views[0][1] is None:
-        return adjacency, None
-    return adjacency, np.stack([mask for _, mask in views]).reshape(*lead, 1, -1)
-
-
 def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
     """Draw a batch's randomness before its forward pass.
 
     Sample i draws from ``rngs[i]`` (one generator repeated when the batch
     shares a stream): its permutation id unless ``permutation_ids`` gives
-    it, the view 1 of its inter graph, then, when the intra branch runs,
-    the view 1 of each snippet's intra graph.
+    it, then, in one call, the coins of its inter graph's view 1 and, when
+    the intra branch runs, of each snippet's intra graph's view 1. With
+    p_r = p_m = 0 no coins are drawn, and every edge and dim is kept.
     """
-    chain_n = tgraph.chain_adjacency(config.n)
-    chain_m = tgraph.chain_adjacency(config.m)
-    ids, inter, intra = [], [], []
+    b, n = len(rngs), config.n
+    chain_n, chain_m = tgraph.chain_adjacency(n), tgraph.chain_adjacency(config.m)
+    inter_size = tgraph.coin_count(chain_n, config.feature_dim)
+    intra_size = tgraph.coin_count(chain_m, config.feature_dim) if _uses_intra(config) else 0
+    ids = np.empty(b, dtype=np.int64)
+    coins = np.zeros((b, inter_size + n * intra_size))
     for i, rng in enumerate(rngs):
-        ids.append(int(rng.integers(sampler.num_permutations(config.n)))
-                   if permutation_ids is None else int(permutation_ids[i]))
-        inter.append(tgraph.draw_view(chain_n, config.feature_dim, config.p_r,
-                                      config.p_m, rng))
-        if _uses_intra(config):
-            intra += [tgraph.draw_view(chain_m, config.feature_dim, config.p_r,
-                                       config.p_m, rng) for _ in range(config.n)]
-    b = len(ids)
-    return Draws(perm_ids=np.array(ids), inter=_stack_views(inter, (b,)),
-                 intra=_stack_views(intra, (b, config.n)) if intra else None)
+        ids[i] = (rng.integers(sampler.num_permutations(n)) if permutation_ids is None
+                  else permutation_ids[i])
+        if config.p_r != 0.0 or config.p_m != 0.0:
+            coins[i] = rng.random(coins.shape[1])
+    inter = tgraph.view_from_coins(coins[:, :inter_size], chain_n, config.p_r, config.p_m)
+    intra = (tgraph.view_from_coins(coins[:, inter_size:].reshape(b, n, -1), chain_m,
+                                    config.p_r, config.p_m) if intra_size else None)
+    return Draws(perm_ids=ids, inter=inter, intra=intra)
 
 
 def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
@@ -209,7 +193,7 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """
     b, n = stats.shape[0], config.n
     feats = encoder.encode(stats, model.enc_snip)  # (B, n, F)
-    inter_graph = tgraph.build_chain_graph(feats, kind="inter")
+    inter_graph = tgraph.build_chain_graph(feats)
     view2 = tgraph.generate_view(inter_graph, 0.0, 0.0, None, 2)
     v_embed = tgraph.gcn_forward(view2, model.gcn_inter)
 
@@ -221,8 +205,7 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     intra_losses = dc.Tensor(np.zeros((b, 0)))
     if _uses_intra(config):
         frame_stats = stats.reshape(b, n, config.m, -1)
-        g = tgraph.build_chain_graph(encoder.encode(frame_stats, model.enc_frame),
-                                     kind="intra")  # (B, n, m, F)
+        g = tgraph.build_chain_graph(encoder.encode(frame_stats, model.enc_frame))  # (B, n, m, F)
         iv1 = tgraph.apply_view(g, *draws.intra)
         iv2 = tgraph.generate_view(g, 0.0, 0.0, None, 2)
         intra_losses = contrast.graph_loss(
@@ -344,7 +327,9 @@ def train(config: TrainConfig, resume_from=None, log=None):
     """Run the full loop; returns (best Checkpoint, metric rows).
 
     Writes metrics.csv plus best/ and last/ checkpoints under out_dir
-    when it is set. ``resume_from`` continues a saved last/ checkpoint.
+    when it is set. ``resume_from`` continues a saved last/ checkpoint;
+    metrics.csv keeps its rows of the epochs before it, and when no later
+    epoch improves the validation loss, the best/ beside it is returned.
     """
     config.validate()
     manifest, videos = sampler.load_dataset(config.data_dir)
@@ -374,8 +359,12 @@ def train(config: TrainConfig, resume_from=None, log=None):
     params = model.named_params()
     stats = [video_statistics(v, config) for v in videos]
     out_dir = Path(config.out_dir) if config.out_dir else None
+    history = []
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+        if resume_from is not None and (out_dir / "metrics.csv").exists():
+            with open(out_dir / "metrics.csv", newline="") as fh:
+                history = [r for r in csv.DictReader(fh) if int(r["epoch"]) < start_epoch]
     rows = []
     best_ckpt = None
 
@@ -412,6 +401,8 @@ def train(config: TrainConfig, resume_from=None, log=None):
         rows.append(row)
         if log:
             log(row)
+        if out_dir:
+            write_metrics(out_dir / "metrics.csv", history + rows)
 
         ckpt = Checkpoint(
             params={k: t.data.copy() for k, t in params.items()},
@@ -431,9 +422,8 @@ def train(config: TrainConfig, resume_from=None, log=None):
             save_checkpoint(ckpt, out_dir / "last")
 
     if best_ckpt is None:
-        best_ckpt = ckpt
-    if out_dir:
-        write_metrics(out_dir / "metrics.csv", rows)
+        best_ckpt = (ckpt if resume_from is None
+                     else load_checkpoint(Path(resume_from).parent / "best"))
     return best_ckpt, rows
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import sampler, trainer
+from tcgl import sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -115,13 +115,15 @@ def test_training_is_bit_deterministic(small_dataset):
         assert np.array_equal(ckpt_a.momentum[k], ckpt_b.momentum[k])
 
 
-def test_resume_after_interruption_reproduces_run(tmp_path, small_dataset):
-    data_dir = str(small_dataset)
-    cfg = small_config(data_dir, epochs=4, out_dir=str(tmp_path / "full"))
-    _, rows_full = trainer.train(cfg)
+class Crash(RuntimeError):
+    pass
 
-    class Crash(RuntimeError):
-        pass
+
+def _full_and_resumed_runs(tmp_path, data_dir):
+    """A 4-epoch run, and the same run crashed at epoch 2 and resumed; each
+    returns (best checkpoint, rows) and the resumed run's log is recorded."""
+    cfg = small_config(data_dir, epochs=4, out_dir=str(tmp_path / "full"))
+    full = trainer.train(cfg)
 
     def crashing_log(row):
         if row["epoch"] == 2:
@@ -131,13 +133,48 @@ def test_resume_after_interruption_reproduces_run(tmp_path, small_dataset):
     with pytest.raises(Crash):
         trainer.train(cfg_part, log=crashing_log)
 
-    resumed_rows = []
-    _, rows_out = trainer.train(cfg_part,
-                                resume_from=str(tmp_path / "part" / "last"),
-                                log=resumed_rows.append)
+    logged = []
+    resumed = trainer.train(cfg_part, resume_from=str(tmp_path / "part" / "last"),
+                            log=logged.append)
+    return full, resumed, logged
+
+
+def test_resume_after_interruption_reproduces_run(tmp_path, small_dataset):
+    (_, rows_full), (_, rows_out), resumed_rows = _full_and_resumed_runs(
+        tmp_path, str(small_dataset))
     assert [r["epoch"] for r in resumed_rows] == [2, 3]
     assert resumed_rows == rows_full[2:]
     assert rows_out[-1] == rows_full[-1]
+
+
+def test_resume_keeps_every_metrics_row(tmp_path, small_dataset):
+    _full_and_resumed_runs(tmp_path, str(small_dataset))
+    full_csv = (tmp_path / "full" / "metrics.csv").read_text()
+    assert len(full_csv.splitlines()) == 1 + 4
+    assert (tmp_path / "part" / "metrics.csv").read_text() == full_csv
+
+    # resuming a finished run trains nothing and leaves the file whole
+    cfg = small_config(str(small_dataset), epochs=4, out_dir=str(tmp_path / "full"))
+    trainer.train(cfg, resume_from=str(tmp_path / "full" / "last"))
+    assert (tmp_path / "full" / "metrics.csv").read_text() == full_csv
+
+
+def test_resume_returns_the_saved_best(tmp_path, small_dataset):
+    (best_full, rows_full), (best_resumed, _), _ = _full_and_resumed_runs(
+        tmp_path, str(small_dataset))
+    # the best epoch precedes the crash, so the resumed epochs do not improve on it
+    assert best_full.epoch < 2
+    assert best_full.best_val_loss == min(r["val_loss"] for r in rows_full)
+
+    cfg = small_config(str(small_dataset), epochs=4, out_dir=str(tmp_path / "full"))
+    best_finished, _ = trainer.train(cfg, resume_from=str(tmp_path / "full" / "last"))
+    for best in (best_resumed, best_finished):
+        assert best.epoch == best_full.epoch
+        assert best.best_val_loss == best_full.best_val_loss
+        assert best.params.keys() == best_full.params.keys()
+        for k in best_full.params:
+            assert np.array_equal(best.params[k], best_full.params[k])
+            assert np.array_equal(best.momentum[k], best_full.momentum[k])
 
 
 def test_resume_rejects_different_config(tmp_path, small_dataset):
@@ -177,6 +214,37 @@ def _sample_losses_and_grads(model, config, stats, draws):
     grads = {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for k, t in params.items()}
     return res, grads
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+@pytest.mark.parametrize("p_r, p_m", [(0.2, 0.1), (0.0, 0.0), (0.0, 0.3)])
+def test_draw_batch_matches_generate_view(alpha, p_r, p_m):
+    cfg = small_config("", alpha=alpha, beta=alpha, p_r=p_r, p_m=p_m)
+    n, m, f = cfg.n, cfg.m, cfg.feature_dim
+    draws = trainer.draw_batch(cfg, [np.random.default_rng(3)] * 5)
+
+    # per sample: the permutation id, the inter view, then each snippet's intra view
+    rng = np.random.default_rng(3)
+    inter = tgraph.build_chain_graph(np.ones((n, f)))
+    intra = tgraph.build_chain_graph(np.ones((m, f)))
+    for i in range(5):
+        assert draws.perm_ids[i] == rng.integers(sampler.num_permutations(n))
+        view = tgraph.generate_view(inter, p_r, p_m, rng)
+        adj, mask = draws.inter[0][i], draws.inter[1][i]
+        assert np.array_equal(adj, view.adjacency)
+        assert np.array_equal(np.broadcast_to(mask, (n, f)), view.features.data)
+        if alpha == 0.0:
+            assert draws.intra is None
+            continue
+        for j in range(n):
+            view = tgraph.generate_view(intra, p_r, p_m, rng)
+            adj, mask = draws.intra[0][i, j], draws.intra[1][i, j]
+            assert np.array_equal(adj, view.adjacency)
+            assert np.array_equal(np.broadcast_to(mask, (m, f)), view.features.data)
+    # both consumed the same stream
+    follow = np.random.default_rng(3)
+    trainer.draw_batch(cfg, [follow] * 5)
+    assert follow.random() == rng.random()
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
