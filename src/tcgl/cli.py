@@ -106,9 +106,8 @@ def cmd_train(args):
     _echo_config(config, config.out_dir or None)
 
     def log(row):
-        print(f"epoch {row['epoch']:4d}  J {row['total_loss']:.4f}  "
-              f"J_g {row['graph_loss']:.4f}  J_o {row['order_loss']:.4f}  "
-              f"train_acc {row['train_acc']:.3f}  val_acc {row['val_acc']:.3f}")
+        print(f"epoch {row['epoch']:4d}  " + "  ".join(
+            f"{k} {row[k]:.4f}" for k in trainer.METRIC_FIELDS if k != "epoch"))
 
     ckpt, rows = trainer.train(config, resume_from=args.resume, log=log)
     if config.out_dir:

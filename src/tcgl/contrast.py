@@ -4,8 +4,10 @@ The relation between two node embeddings is the cosine of their images
 under a shared two-layer projection head. For a positive pair (u_i, v_i)
 the loss is the negative log of the softmax probability of the positive
 relation against all cross-view relations plus the same-view relations
-with k != i, at temperature tau. Per-graph losses average both directions
-over all nodes; the combined graph loss weights intra and inter terms.
+with k != i, at temperature tau. A graph's loss averages this over the
+2N nodes of both views, each node taking its turn as the anchor; as in
+NT-Xent, it comes from one similarity matrix over the 2N stacked
+projections. The combined graph loss weights intra and inter terms.
 """
 
 from __future__ import annotations
@@ -81,40 +83,25 @@ def pairwise_loss(u_rows, v_rows, i, tau, proj: ProjectionParams):
     return lse - terms[i]
 
 
-def _similarity_matrices(u_rows, v_rows, tau, proj):
-    pu = dc.l2_normalize(project(u_rows, proj), axis=-1)
-    pv = dc.l2_normalize(project(v_rows, proj), axis=-1)
-    s_uv = dc.matmul(pu, dc.transpose(pv)) / tau
-    s_vu = dc.matmul(pv, dc.transpose(pu)) / tau
-    s_uu = dc.matmul(pu, dc.transpose(pu)) / tau
-    s_vv = dc.matmul(pv, dc.transpose(pv)) / tau
-    return s_uv, s_vu, s_uu, s_vv
-
-
-def _directional_losses(s_cross, s_same):
-    """-log softmax loss of each node, (..., N), for one direction."""
-    n = s_cross.data.shape[-1]
-    diag_mask = dc.Tensor(np.eye(n) * NEG_MASK)
-    logits = dc.concat([s_cross, dc.add(s_same, diag_mask)], axis=-1)
-    lse = dc.logsumexp_rows(logits)
-    positives = dc.tsum(dc.mul(s_cross, dc.Tensor(np.eye(n))), axis=-1)
-    return lse - positives
-
-
 def graph_loss(u_rows, v_rows, tau, proj: ProjectionParams):
-    """Symmetric average of both directional losses over all nodes.
+    """Mean of every node's loss, over both views.
 
     Views are (..., N, D); leading axes index graphs, and each graph's
-    negatives come from that graph alone. Returns one loss per graph.
+    negatives come from that graph alone. Both views are projected as one
+    (..., 2N, D) stack, whose relations over tau form one (..., 2N, 2N)
+    matrix: row i's positive sits at column i + N (mod 2N), and its
+    diagonal is masked out. Returns one loss per graph.
     """
     if u_rows.data.shape != v_rows.data.shape:
         raise ValueError(
             f"view shapes differ: {u_rows.data.shape} vs {v_rows.data.shape}"
         )
-    s_uv, s_vu, s_uu, s_vv = _similarity_matrices(u_rows, v_rows, tau, proj)
-    l_u = _directional_losses(s_uv, s_uu)
-    l_v = _directional_losses(s_vu, s_vv)
-    return dc.mean(dc.concat([l_u, l_v], axis=-1), axis=-1)
+    n = u_rows.data.shape[-2]
+    p = dc.l2_normalize(project(dc.concat([u_rows, v_rows], axis=-2), proj), axis=-1)
+    sim = dc.matmul(p, dc.transpose(p)) / tau
+    lse = dc.logsumexp_rows(dc.add(sim, np.eye(2 * n) * NEG_MASK))
+    positives = dc.tsum(dc.mul(sim, np.roll(np.eye(2 * n), n, axis=-1)), axis=-1)
+    return dc.mean(lse - positives, axis=-1)
 
 
 def total_graph_loss(intra_losses, inter_loss, alpha, beta):

@@ -91,8 +91,11 @@ def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        # An own copy, since a rule may pass one array to several operands.
+        # Every rule passes a gradient of its operand's shape.
+        tensor.grad = np.array(grad, dtype=tensor.data.dtype)
+    else:
+        tensor.grad += grad
 
 
 def _unbroadcast(grad, shape):
@@ -162,8 +165,10 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
 
     def rule(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=rule)
 
@@ -177,8 +182,10 @@ def mul(a, b):
         raise ShapeError(f"hadamard: shapes {a.data.shape} and {b.data.shape} do not broadcast")
 
     def rule(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=rule)
 

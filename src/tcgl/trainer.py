@@ -229,11 +229,15 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
 
 
 def sgd_step(params, grads, state, lr, momentum, weight_decay):
-    """Classical momentum: v = mu*v + g + wd*p; p -= lr*v. Biases skip decay."""
+    """Classical momentum: v = mu*v + g + wd*p; p -= lr*v. Biases skip decay.
+
+    A non-finite gradient aborts the step before any parameter or momentum
+    changes."""
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
     for name, tensor in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
         if weight_decay and not name.rsplit(".", 1)[-1].startswith("b"):
             g = g + weight_decay * tensor.data
         state[name] = momentum * state[name] + g

@@ -93,6 +93,9 @@ def test_train_eval_retrieve_round_trip(tmp_path, small_dataset, capsys):
     ])
     assert code == 0
     assert (out / "last").is_dir() and (out / "metrics.csv").is_file()
+    epoch_line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
+    assert len(epoch_line) == 1
+    assert all(f" {k} " in epoch_line[0] for k in trainer.METRIC_FIELDS if k != "epoch")
 
     code = cli.run(["eval-order", "--ckpt", str(out / "last")])
     assert code == 0

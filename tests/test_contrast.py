@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tcgl.diffcore as dc
 from tcgl import contrast, evalkit
@@ -86,3 +87,23 @@ def test_batched_graph_loss_matches_oracle_per_graph(rng):
         assert losses.shape == (5,)
         for g in range(5):
             assert abs(losses[g] - evalkit.oracle_graph_loss(u[g], v[g], 0.5, proj)) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.integers(1, 3), n=st.integers(1, 6), dim=st.integers(1, 6),
+       tau=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_graph_loss_property_matches_oracle(graphs, n, dim, tau, seed):
+    rng = np.random.default_rng(seed)
+    proj = contrast.init_projection(rng, dim)
+    u = dc.Tensor(rng.standard_normal((graphs, n, dim)), requires_grad=True)
+    v = dc.Tensor(rng.standard_normal((graphs, n, dim)), requires_grad=True)
+    losses = contrast.graph_loss(u, v, tau, proj).data
+    assert losses.shape == (graphs,)
+    for g in range(graphs):
+        assert abs(losses[g] - evalkit.oracle_graph_loss(u.data[g], v.data[g], tau, proj)) < 1e-10
+    if n == 1:  # no negatives: the positive is the whole softmax
+        assert np.all(np.abs(losses) < 1e-12)
+    if graphs * n * dim <= 12:  # small enough for a cheap gradient check
+        err = dc.finite_diff_check(lambda a, b: dc.tsum(contrast.graph_loss(a, b, tau, proj)),
+                                   [u, v])
+        assert err < 1e-4

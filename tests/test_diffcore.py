@@ -50,6 +50,27 @@ def test_grad_accumulates_through_shared_subexpression():
     assert a.grad == pytest.approx(7.0)
 
 
+def test_first_gradient_is_an_own_copy():
+    # add passes one array to both operands; x's first gradient must not
+    # alias y's, or the second += into x would reach y.
+    x = dc.Tensor(np.ones(3), requires_grad=True)
+    y = dc.Tensor(np.ones(3), requires_grad=True)
+    dc.backward(dc.tsum(x + y + x))
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+    assert np.array_equal(y.grad, np.ones(3))
+    z = dc.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    dc.backward(dc.tsum(dc.mul(z, np.float64(2.0))))
+    assert z.grad.dtype == np.float32 and z.grad.shape == (2,)
+
+
+def test_constant_operand_gets_no_gradient():
+    x = dc.Tensor(np.arange(3.0), requires_grad=True)
+    mask = dc.Tensor(np.array([1.0, 0.0, 1.0]))
+    dc.backward(dc.tsum(dc.add(dc.mul(x, mask), mask)))
+    assert mask.grad is None
+    assert np.array_equal(x.grad, mask.data)
+
+
 def test_concat_and_stack_gradients():
     a = dc.Tensor(np.arange(3.0), requires_grad=True)
     b = dc.Tensor(np.arange(3.0, 6.0), requires_grad=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcgl import sampler
 
@@ -32,10 +33,20 @@ def test_sample_snippets_contiguous_split():
 
 
 def test_permutation_id_roundtrip():
-    for n in (2, 3, 4):
+    for n in range(1, 7):
         for pid in range(sampler.num_permutations(n)):
             perm = sampler.permutation_from_id(pid, n)
+            assert sorted(perm) == list(range(n))
             assert sampler.id_from_permutation(perm) == pid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_property_tuple_roundtrip(perm):
+    n = len(perm)
+    pid = sampler.id_from_permutation(perm)
+    assert 0 <= pid < sampler.num_permutations(n)
+    assert sampler.permutation_from_id(pid, n) == tuple(perm)
 
 
 def test_permutation_id_zero_is_identity():

@@ -60,10 +60,16 @@ def test_sgd_step_skips_weight_decay_for_biases():
 
 
 def test_sgd_step_rejects_non_finite_gradients():
-    w = dc.Tensor(np.ones(2), requires_grad=True)
+    # The NaN sits in the second parameter: the rejected step must not
+    # have updated the first one or its momentum.
+    params = {"a.weight": dc.Tensor(np.ones(2), requires_grad=True),
+              "b.weight": dc.Tensor(np.ones(2), requires_grad=True)}
+    state = {"a.weight": np.full(2, 0.5), "b.weight": np.full(2, 0.25)}
+    grads = {"a.weight": np.ones(2), "b.weight": np.array([np.nan, 1.0])}
+    before = {k: (t.data.tobytes(), state[k].tobytes()) for k, t in params.items()}
     with pytest.raises(FloatingPointError):
-        trainer.sgd_step({"w": w}, {"w": np.array([np.nan, 0.0])},
-                         {"w": np.zeros(2)}, 0.1, 0.9, 0.0)
+        trainer.sgd_step(params, grads, state, 0.1, 0.9, 0.01)
+    assert {k: (t.data.tobytes(), state[k].tobytes()) for k, t in params.items()} == before
 
 
 def test_split_is_deterministic_partition(small_dataset):
