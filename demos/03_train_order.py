@@ -23,9 +23,7 @@ def main():
 
     def log(row):
         if row["epoch"] % 5 == 0 or row["epoch"] == config.epochs - 1:
-            print(f"epoch {row['epoch']:3d}  J {row['total_loss']:.4f}  "
-                  f"graph {row['graph_loss']:.4f}  order {row['order_loss']:.4f}  "
-                  f"train_acc {row['train_acc']:.3f}  val_acc {row['val_acc']:.3f}")
+            print(trainer.metrics_line(row))
 
     ckpt, rows = trainer.train(config, log=log)
     print(f"\nbest validation loss {ckpt.best_val_loss:.4f} "

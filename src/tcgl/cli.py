@@ -17,12 +17,10 @@ from pathlib import Path
 
 from . import evalkit, sampler, trainer
 
-_INT_KEYS = {f.name for f in fields(trainer.TrainConfig)
-             if f.type == "int"}
-_FLOAT_KEYS = {f.name for f in fields(trainer.TrainConfig)
-               if f.type == "float"}
-_STR_KEYS = {f.name for f in fields(trainer.TrainConfig)
-             if f.type == "str"}
+# Each TrainConfig field's parser; the annotations are strings under
+# ``from __future__ import annotations``.
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in fields(trainer.TrainConfig)}
 
 
 class CliError(Exception):
@@ -46,11 +44,7 @@ def parse_config_file(path):
 
 def _coerce(key, value):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        return _FIELD_TYPES[key](value)
     except ValueError:
         raise CliError(f"config key {key!r}: cannot parse {value!r}")
 
@@ -72,10 +66,8 @@ def resolve_config(args):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
-    for f in fields(trainer.TrainConfig):
-        kind = int if f.name in _INT_KEYS else float if f.name in _FLOAT_KEYS else str
-        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                            type=kind, default=None)
+    for name, kind in _FIELD_TYPES.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
 
 
 def _echo_config(config, out_dir=None):
@@ -105,11 +97,8 @@ def cmd_train(args):
         raise CliError("train needs --data-dir (or data_dir in the config file)")
     _echo_config(config, config.out_dir or None)
 
-    def log(row):
-        print(f"epoch {row['epoch']:4d}  " + "  ".join(
-            f"{k} {row[k]:.4f}" for k in trainer.METRIC_FIELDS if k != "epoch"))
-
-    ckpt, rows = trainer.train(config, resume_from=args.resume, log=log)
+    trainer.train(config, resume_from=args.resume,
+                  log=lambda row: print(trainer.metrics_line(row)))
     if config.out_dir:
         print(f"checkpoints and metrics.csv under {config.out_dir}")
     return 0

@@ -17,35 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .tgraph import INIT_GAIN
 
 NEG_MASK = -1e30  # additive mask removing a term from a logsumexp exactly
 
 
 @dataclass
 class ProjectionParams:
-    w1: dc.Tensor  # (F_in, F_proj)
-    b1: dc.Tensor  # (F_proj,)
-    w2: dc.Tensor  # (F_proj, F_proj)
-    b2: dc.Tensor  # (F_proj,)
+    w1: dc.Tensor  # (F, F)
+    b1: dc.Tensor  # (F,)
+    w2: dc.Tensor  # (F, F)
+    b2: dc.Tensor  # (F,)
 
 
-def init_projection(rng, in_dim, proj_dim=None):
-    proj_dim = in_dim if proj_dim is None else proj_dim
-    b1 = INIT_GAIN / np.sqrt(in_dim)
-    b2 = INIT_GAIN / np.sqrt(proj_dim)
-    return ProjectionParams(
-        w1=dc.Tensor(rng.uniform(-b1, b1, size=(in_dim, proj_dim)), requires_grad=True),
-        b1=dc.Tensor(rng.uniform(-b1, b1, size=proj_dim), requires_grad=True),
-        w2=dc.Tensor(rng.uniform(-b2, b2, size=(proj_dim, proj_dim)), requires_grad=True),
-        b2=dc.Tensor(rng.uniform(-b2, b2, size=proj_dim), requires_grad=True),
-    )
+def init_projection(rng, in_dim):
+    return ProjectionParams(*dc.init_linear(rng, in_dim, in_dim),
+                            *dc.init_linear(rng, in_dim, in_dim))
 
 
 def project(x, proj: ProjectionParams):
-    """Two-layer perceptron with ReLU hidden activation; works on (F,) or (N, F)."""
-    h = dc.relu(dc.add(dc.matmul(x, proj.w1), proj.b1))
-    return dc.add(dc.matmul(h, proj.w2), proj.b2)
+    """Two-layer perceptron with ReLU hidden activation over the last axis."""
+    return dc.linear(dc.relu(dc.linear(x, proj.w1, proj.b1)), proj.w2, proj.b2)
 
 
 def relation(u, v, proj: ProjectionParams):

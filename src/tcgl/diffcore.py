@@ -1,12 +1,14 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
 Holds exactly the operations the training losses need: matmul, add,
-hadamard, concat/stack, relu, exp, log, l2_normalize, softmax, reductions
-and indexing. Every op accepts leading batch axes, so a whole minibatch
-of small graphs runs as stacked arrays on one tape. Gradients are
-accumulated by walking the recorded operation graph in reverse
-topological order; the graph is rebuilt on every forward pass
-(define-by-run), so there is no hidden state between steps.
+hadamard, concat/stack, reshape, relu, exp, log, l2_normalize, softmax,
+reductions and indexing, plus the one linear layer (``init_linear``,
+``linear``) that every parameterised block is built from. Every op
+accepts leading batch axes, so a whole minibatch of small graphs runs as
+stacked arrays on one tape. Gradients are accumulated by walking the
+recorded operation graph in reverse topological order; the graph is
+rebuilt on every forward pass (define-by-run), so there is no hidden
+state between steps.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
-        self._parents = _parents if self.requires_grad else ()
+        # Constants (masks, scalars, propagation matrices) stay off the tape.
+        self._parents = tuple(p for p in _parents if p.requires_grad)
+        self.requires_grad = bool(requires_grad) or bool(self._parents)
         self._backward = _backward if self.requires_grad else None
 
     @property
@@ -268,6 +269,15 @@ def stack(tensors):
     return Tensor(out_data, _parents=tuple(tensors), _backward=rule)
 
 
+def reshape(a, shape):
+    a = _as_tensor(a)
+
+    def rule(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=rule)
+
+
 def getitem(a, idx):
     a = _as_tensor(a)
     out_data = a.data[idx]
@@ -336,6 +346,28 @@ def mean(a, axis=None):
 
 def dot(a, b):
     return tsum(mul(a, b))
+
+
+# Fan-in init scaled up so the lr=0.001 schedule makes progress at desk
+# scale; calibrated on the synthetic benchmark.
+INIT_GAIN = 4.0
+
+
+def init_linear(rng, d_in, d_out, gain=INIT_GAIN, bias=True):
+    """Weight (d_in, d_out) and, when ``bias``, bias (d_out,), both drawn
+    uniform in +-gain / sqrt(d_in) in that order; without a bias the
+    weight alone is returned."""
+    bound = gain / np.sqrt(d_in)
+    weight = Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
+    if not bias:
+        return weight
+    return weight, Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True)
+
+
+def linear(x, weight, bias=None):
+    """x @ weight (+ bias) over the last axis of ``x``."""
+    h = matmul(x, weight)
+    return h if bias is None else add(h, bias)
 
 
 def l2_normalize(a, axis=-1, eps=1e-12):

@@ -25,24 +25,10 @@ class EncoderParams:
     def pooled_dim(self):
         return self.weight.shape[0]
 
-    @property
-    def feature_dim(self):
-        return self.weight.shape[1]
-
 
 def pooled_dim(clip_frames, channels):
     """Mean and std per frame per channel, concatenated across frames."""
     return 2 * clip_frames * channels
-
-
-def init_encoder(rng, clip_frames, channels, feature_dim):
-    d = pooled_dim(clip_frames, channels)
-    bound = 1.0 / np.sqrt(d)
-    weight = dc.Tensor(rng.uniform(-bound, bound, size=(d, feature_dim)),
-                       requires_grad=True)
-    bias = dc.Tensor(rng.uniform(-bound, bound, size=feature_dim),
-                     requires_grad=True)
-    return EncoderParams(weight=weight, bias=bias)
 
 
 def clip_statistics(clip):
@@ -65,4 +51,4 @@ def encode(stats, params: EncoderParams):
             f"clip statistics of shape {stats.shape} do not match an encoder "
             f"expecting {params.pooled_dim} per clip"
         )
-    return dc.relu(dc.add(dc.matmul(dc.Tensor(stats), params.weight), params.bias))
+    return dc.relu(dc.linear(dc.Tensor(stats), params.weight, params.bias))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blobio, contrast, diffcore as dc, encoder, orderhead, sampler, tgraph, trainer
+from . import contrast, diffcore as dc, encoder, orderhead, sampler, tgraph, trainer
 
 
 @dataclass
@@ -25,24 +25,6 @@ class EmbeddingGallery:
             raise ValueError("gallery embeddings must be finite")
 
 
-def save_gallery(gallery: EmbeddingGallery, path):
-    blobio.save_arrays(path, {
-        "embeddings": gallery.embeddings,
-        "labels": gallery.labels.astype(np.float64),
-    }, meta={"kind": "gallery", "split": gallery.split})
-
-
-def load_gallery(path):
-    arrays, meta = blobio.load_arrays(path)
-    if meta.get("kind") != "gallery":
-        raise ValueError(f"{path}: not a gallery directory")
-    return EmbeddingGallery(
-        embeddings=arrays["embeddings"],
-        labels=arrays["labels"].astype(np.int64),
-        split=meta.get("split", "train"),
-    )
-
-
 def embed_video(videos, model: trainer.Model, config: trainer.TrainConfig,
                 backbone_only=False):
     """Retrieval embeddings, one row per video: the encoder feature of its
@@ -54,9 +36,7 @@ def embed_video(videos, model: trainer.Model, config: trainer.TrainConfig,
     feats = encoder.encode(stats[:, None, :], model.enc_snip)  # (V, 1, F)
     if backbone_only:
         return feats.data[:, 0]
-    graph = tgraph.build_chain_graph(feats)
-    view = tgraph.generate_view(graph, 0.0, 0.0, None, 2)
-    return tgraph.gcn_forward(view, model.gcn_inter).data[:, 0]
+    return tgraph.gcn_forward(tgraph.build_chain_graph(feats), model.gcn_inter).data[:, 0]
 
 
 def build_gallery(videos, model, config, split="train", backbone_only=False):
@@ -104,9 +84,6 @@ def retrieval_table(queries, gallery, ks=(1, 5, 10, 20, 50)):
 def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
     """Order-prediction accuracy with per-(seed, video) deterministic draws."""
     config = ckpt.config
-    if videos and videos[0].channels * 2 * config.l != \
-            ckpt.params["enc_snip.weight"].shape[0]:
-        raise ValueError("checkpoint configuration does not match this dataset")
     model = trainer.restore_model(ckpt, videos[0].channels if videos else 1)
     indices = range(len(videos)) if indices is None else indices
     if len(indices) == 0:

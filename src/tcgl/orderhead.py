@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .tgraph import INIT_GAIN
 
 
 @dataclass
@@ -49,64 +48,10 @@ def fused_dim(n, c):
 
 
 def init_order_head(rng, n, c):
-    c_con = fused_dim(n, c)
-    hidden = (n * c) // 2
-    num_classes = math.factorial(n)
-
-    def linear(d_in, d_out):
-        bound = INIT_GAIN / np.sqrt(d_in)
-        w = dc.Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
-        b = dc.Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True)
-        return w, b
-
-    w_fuse, b_fuse = linear(n * c, c_con)
-    w_excite, b_excite = linear(c_con, c)
-    w_hidden, b_hidden = linear(n * c, hidden)
-    w_out, b_out = linear(hidden, num_classes)
-    return OrderHeadParams(w_fuse, b_fuse, w_excite, b_excite,
-                           w_hidden, b_hidden, w_out, b_out)
-
-
-def fuse(features, params: OrderHeadParams):
-    """Joint representation of the concatenated shuffled snippet features.
-
-    Each feature is (..., c); leading axes are batch axes.
-    """
-    dims = {f.data.shape for f in features}
-    if len(dims) != 1:
-        raise ValueError(f"snippet features must share one shape, got {sorted(dims)}")
-    joint = dc.concat(features, axis=-1)
-    if joint.data.shape[-1] != params.w_fuse.shape[0]:
-        raise ValueError(
-            f"concatenated dim {joint.data.shape[-1]} does not match fusion weight "
-            f"input dim {params.w_fuse.shape[0]}"
-        )
-    return dc.add(dc.matmul(joint, params.w_fuse), params.b_fuse)
-
-
-def excitation(z, params: OrderHeadParams):
-    return dc.add(dc.matmul(z, params.w_excite), params.b_excite)
-
-
-def recalibrate(e, f_k):
-    """Gate one snippet feature channel-wise by relu(excitation)."""
-    if e.data.shape != f_k.data.shape:
-        raise ValueError(f"gate dim {e.data.shape} != feature dim {f_k.data.shape}")
-    return dc.mul(dc.relu(e), f_k)
-
-
-def predict_order(refined, params: OrderHeadParams):
-    """Softmax distribution over the n! permutations from gated features."""
-    x = dc.concat(refined, axis=-1)
-    h = dc.relu(dc.add(dc.matmul(x, params.w_hidden), params.b_hidden))
-    logits = dc.add(dc.matmul(h, params.w_out), params.b_out)
-    log_probs = dc.log_softmax(logits)
-    probs = np.exp(log_probs.data)
-    return OrderPrediction(
-        probabilities=probs,
-        predicted_id=np.argmax(probs, axis=-1),
-        log_probs=log_probs,
-    )
+    c_con, hidden = fused_dim(n, c), (n * c) // 2
+    return OrderHeadParams(*dc.init_linear(rng, n * c, c_con), *dc.init_linear(rng, c_con, c),
+                           *dc.init_linear(rng, n * c, hidden),
+                           *dc.init_linear(rng, hidden, math.factorial(n)))
 
 
 def order_loss(pred: OrderPrediction, label):
@@ -120,11 +65,25 @@ def order_loss(pred: OrderPrediction, label):
 
 
 def order_head_forward(features, label, params: OrderHeadParams):
-    """Fuse, excite, gate, classify; returns (prediction, loss)."""
-    z = fuse(features, params)
-    e = excitation(z, params)
-    refined = [recalibrate(e, f) for f in features]
-    pred = predict_order(refined, params)
+    """Fuse, excite, gate, classify; returns (prediction, loss).
+
+    ``features`` is (..., n, c), each sample's n snippet features in
+    shuffled order; leading axes are batch axes.
+    """
+    *batch, n, c = features.data.shape
+    if n * c != params.w_fuse.shape[0]:
+        raise ValueError(
+            f"{n} snippet features of dim {c} do not match fusion weight "
+            f"input dim {params.w_fuse.shape[0]}"
+        )
+    z = dc.linear(dc.reshape(features, (*batch, n * c)), params.w_fuse, params.b_fuse)
+    gate = dc.reshape(dc.relu(dc.linear(z, params.w_excite, params.b_excite)), (*batch, 1, c))
+    refined = dc.reshape(dc.mul(gate, features), (*batch, n * c))
+    h = dc.relu(dc.linear(refined, params.w_hidden, params.b_hidden))
+    log_probs = dc.log_softmax(dc.linear(h, params.w_out, params.b_out))
+    probs = np.exp(log_probs.data)
+    pred = OrderPrediction(probabilities=probs, predicted_id=np.argmax(probs, axis=-1),
+                           log_probs=log_probs)
     return pred, order_loss(pred, label)
 
 

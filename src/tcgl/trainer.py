@@ -85,16 +85,9 @@ class Model:
     order: orderhead.OrderHeadParams
 
     def named_params(self):
-        """Every parameter tensor as "block.leaf", in field order; a leaf
-        left None (a GCN without bias) is not a parameter."""
-        out = {}
-        for block in fields(self):
-            params = getattr(self, block.name)
-            for leaf in fields(params):
-                tensor = getattr(params, leaf.name)
-                if tensor is not None:
-                    out[f"{block.name}.{leaf.name}"] = tensor
-        return out
+        """Every parameter tensor as "block.leaf", in field order."""
+        return {f"{block.name}.{leaf.name}": getattr(getattr(self, block.name), leaf.name)
+                for block in fields(self) for leaf in fields(getattr(self, block.name))}
 
 
 @dataclass
@@ -130,11 +123,16 @@ class Draws:
 def build_model(config: TrainConfig, channels=1):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
     f, f_out = config.feature_dim, config.gcn_dim
+
+    def enc(clip_frames):
+        return encoder.EncoderParams(*dc.init_linear(
+            rng, encoder.pooled_dim(clip_frames, channels), f, gain=1.0))
+
     return Model(
-        enc_snip=encoder.init_encoder(rng, config.l, channels, f),
-        enc_frame=encoder.init_encoder(rng, config.l // config.m, channels, f),
-        gcn_inter=tgraph.init_gcn(rng, f, f_out),
-        gcn_intra=tgraph.init_gcn(rng, f, f_out),
+        enc_snip=enc(config.l),
+        enc_frame=enc(config.l // config.m),
+        gcn_inter=tgraph.GcnParams(dc.init_linear(rng, f, f_out, bias=False)),
+        gcn_intra=tgraph.GcnParams(dc.init_linear(rng, f, f_out, bias=False)),
         proj_inter=contrast.init_projection(rng, f_out),
         proj_intra=contrast.init_projection(rng, f_out),
         order=orderhead.init_order_head(rng, config.n, f_out),
@@ -185,6 +183,20 @@ def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
     return Draws(perm_ids=ids, inter=inter, intra=intra)
 
 
+def _graph_branch(feats, view, gcn, proj, tau):
+    """GCN embedding of the chain graphs over ``feats`` (..., N, F), and
+    each graph's contrastive loss between its drawn view 1, ``view`` =
+    (adjacency, mask), and the clean graph as view 2; without a view the
+    losses are zeros. Serves the inter graph of snippets and the intra
+    graphs of frame-sets alike."""
+    graph = tgraph.build_chain_graph(feats)
+    clean = tgraph.gcn_forward(graph, gcn)
+    if view is None:
+        return clean, dc.Tensor(np.zeros(clean.shape[:-2]))
+    drawn = tgraph.gcn_forward(tgraph.apply_view(graph, *view), gcn)
+    return clean, contrast.graph_loss(drawn, clean, tau, proj)
+
+
 def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """Per-sample losses and predictions of a batch of videos, on one tape.
 
@@ -193,32 +205,18 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """
     b, n = stats.shape[0], config.n
     feats = encoder.encode(stats, model.enc_snip)  # (B, n, F)
-    inter_graph = tgraph.build_chain_graph(feats)
-    view2 = tgraph.generate_view(inter_graph, 0.0, 0.0, None, 2)
-    v_embed = tgraph.gcn_forward(view2, model.gcn_inter)
-
-    j_inter = dc.Tensor(np.zeros(b))
-    if _uses_inter(config):
-        view1 = tgraph.apply_view(inter_graph, *draws.inter)
-        u_embed = tgraph.gcn_forward(view1, model.gcn_inter)
-        j_inter = contrast.graph_loss(u_embed, v_embed, config.tau, model.proj_inter)
+    v_embed, j_inter = _graph_branch(feats, draws.inter if _uses_inter(config) else None,
+                                     model.gcn_inter, model.proj_inter, config.tau)
     intra_losses = dc.Tensor(np.zeros((b, 0)))
     if _uses_intra(config):
-        frame_stats = stats.reshape(b, n, config.m, -1)
-        g = tgraph.build_chain_graph(encoder.encode(frame_stats, model.enc_frame))  # (B, n, m, F)
-        iv1 = tgraph.apply_view(g, *draws.intra)
-        iv2 = tgraph.generate_view(g, 0.0, 0.0, None, 2)
-        intra_losses = contrast.graph_loss(
-            tgraph.gcn_forward(iv1, model.gcn_intra),
-            tgraph.gcn_forward(iv2, model.gcn_intra),
-            config.tau, model.proj_intra)  # (B, n)
+        frame_feats = encoder.encode(stats.reshape(b, n, config.m, -1), model.enc_frame)
+        _, intra_losses = _graph_branch(frame_feats, draws.intra, model.gcn_intra,
+                                        model.proj_intra, config.tau)  # (B, n)
     j_graph = contrast.total_graph_loss(intra_losses, j_inter, config.alpha, config.beta)
 
     perms = np.array([sampler.permutation_from_id(int(pid), n) for pid in draws.perm_ids])
-    rows = np.arange(b)
-    shuffled_feats = [v_embed[rows, perms[:, j]] for j in range(n)]
-    pred, j_order = orderhead.order_head_forward(shuffled_feats, draws.perm_ids,
-                                                 model.order)
+    shuffled = v_embed[np.arange(b)[:, None], perms]  # (B, n, F)
+    pred, j_order = orderhead.order_head_forward(shuffled, draws.perm_ids, model.order)
     loss = orderhead.total_loss(j_graph, j_order, config.lambda_g, config.lambda_o)
     return SampleResult(
         loss=loss,
@@ -433,6 +431,12 @@ def train(config: TrainConfig, resume_from=None, log=None):
 
 METRIC_FIELDS = ("epoch", "total_loss", "graph_loss", "order_loss",
                  "train_acc", "val_acc", "val_loss")
+
+
+def metrics_line(row):
+    """The console line of one epoch's metrics row, every field named."""
+    return f"epoch {row['epoch']:4d}  " + "  ".join(
+        f"{k} {row[k]:.4f}" for k in METRIC_FIELDS if k != "epoch")
 
 
 def write_metrics(path, rows):

@@ -57,6 +57,18 @@ def test_resolve_config_rejects_unparseable_value(tmp_path):
         cli.resolve_config(_train_args(config=path))
 
 
+def test_file_values_and_flags_take_each_field_type(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 9\nout_dir = runs/x\nalpha = 2\n")
+    from_file = cli.resolve_config(_train_args(config=path))
+    from_flags = cli.resolve_config(_train_args(epochs=9, out_dir="runs/x", alpha=2))
+    for config in (from_file, from_flags):
+        assert (config.epochs, config.out_dir, config.alpha) == (9, "runs/x", 2.0)
+        assert type(config.epochs) is int and type(config.alpha) is float
+    with pytest.raises(cli.CliError):
+        cli._coerce("epochs", "2.5")
+
+
 def test_resolve_config_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("TCGL_SEED", "99")
     assert cli.resolve_config(_train_args()).seed == 99

@@ -71,6 +71,29 @@ def test_constant_operand_gets_no_gradient():
     assert np.array_equal(x.grad, mask.data)
 
 
+def test_constants_stay_off_the_tape():
+    x = dc.Tensor(np.arange(3.0), requires_grad=True)
+    mask = dc.Tensor(np.array([1.0, 0.0, 1.0]))
+    out = dc.add(dc.mul(x, mask), 2.0)
+    assert len(out._parents) == 1 and out._parents[0]._parents == (x,)
+    const = dc.mul(mask, mask)
+    assert not const.requires_grad and const._parents == ()
+
+
+def test_init_linear_draws_weight_then_bias_within_the_fan_in_bound():
+    w, b = dc.init_linear(np.random.default_rng(5), 16, 3, gain=2.0)
+    want = np.random.default_rng(5).uniform(-0.5, 0.5, size=16 * 3 + 3)
+    assert np.array_equal(w.data.ravel(), want[:48]) and np.array_equal(b.data, want[48:])
+    assert w.requires_grad and b.requires_grad
+    w_only = dc.init_linear(np.random.default_rng(5), 16, 3, bias=False)
+    bound = dc.INIT_GAIN / 4.0
+    want = np.random.default_rng(5).uniform(-bound, bound, size=(16, 3))
+    assert isinstance(w_only, dc.Tensor) and np.array_equal(w_only.data, want)
+    x = np.random.default_rng(6).standard_normal((2, 4, 16))
+    assert np.array_equal(dc.linear(x, w, b).data, x @ w.data + b.data)
+    assert np.array_equal(dc.linear(x, w).data, x @ w.data)
+
+
 def test_concat_and_stack_gradients():
     a = dc.Tensor(np.arange(3.0), requires_grad=True)
     b = dc.Tensor(np.arange(3.0, 6.0), requires_grad=True)
@@ -132,6 +155,7 @@ _NAMED_OPS = {
     "mean": (dc.mean, (_X,), np.mean),
     "sum": (dc.tsum, (_X,), np.sum),
     "transpose": (dc.transpose, (_X,), lambda x: np.swapaxes(x, -1, -2)),
+    "reshape": (lambda a: dc.reshape(a, (3, 1, 2)), (_X,), lambda x: x.reshape(3, 1, 2)),
 }
 
 
@@ -248,3 +272,17 @@ def test_getitem_property_fancy_and_repeated_indices(data):
     expected = np.zeros(shape)
     np.add.at(expected, idx, 1.0)
     assert np.array_equal(x.grad, expected)
+
+
+@_settings
+@given(st.data())
+def test_reshape_property_round_trips_shape_and_gradient(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=3))
+    x = dc.Tensor(data.draw(_values(shape)), requires_grad=True)
+    target = data.draw(st.permutations(shape))
+    out = dc.reshape(x, target)
+    assert np.array_equal(out.data, x.data.reshape(target))
+    probe = np.random.default_rng(4).standard_normal(tuple(target))
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.reshape(t, target), probe)), [x]) < 1e-6
+    dc.backward(dc.tsum(dc.mul(out, probe)))
+    assert np.array_equal(x.grad, probe.reshape(shape))

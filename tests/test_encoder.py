@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import encoder, sampler
+from tcgl import encoder, sampler, trainer
 
 
 @pytest.fixture()
 def clip():
     video = sampler.gen_synthetic_video(3, sampler.label_for_class(2))
     return sampler.sample_snippets(video, 16, 8, 3)[1]
+
+
+def _params(rng, clip_frames, feature_dim):
+    return encoder.EncoderParams(*dc.init_linear(
+        rng, encoder.pooled_dim(clip_frames, 1), feature_dim, gain=1.0))
 
 
 def test_pooled_dim():
@@ -28,27 +33,31 @@ def test_clip_statistics_layout(clip):
 
 
 def test_encode_shape_and_nonnegativity(clip, rng):
-    params = encoder.init_encoder(rng, 16, 1, feature_dim=12)
+    params = _params(rng, 16, 12)
     feat = encoder.encode(encoder.clip_statistics(clip), params)
     assert feat.shape == (12,)
     assert np.all(feat.data >= 0.0)
 
 
 def test_encode_rejects_mismatched_params(clip, rng):
-    params = encoder.init_encoder(rng, 8, 1, feature_dim=12)
+    params = _params(rng, 8, 12)
     with pytest.raises(ValueError):
         encoder.encode(encoder.clip_statistics(clip), params)
 
 
-def test_init_bound_follows_fan_in(rng):
-    params = encoder.init_encoder(rng, 16, 1, feature_dim=64)
-    bound = 1.0 / np.sqrt(32)
-    assert np.abs(params.weight.data).max() <= bound
-    assert np.abs(params.bias.data).max() <= bound
+def test_init_bound_follows_fan_in():
+    # the model's encoders draw within 1/sqrt(fan-in), gain 1: pooled dims 32 and 8
+    model = trainer.build_model(trainer.TrainConfig(feature_dim=64))
+    for params, fan_in in ((model.enc_snip, 32), (model.enc_frame, 8)):
+        assert params.weight.shape == (fan_in, 64)
+        bound = 1.0 / np.sqrt(fan_in)
+        assert np.abs(params.weight.data).max() <= bound
+        assert np.abs(params.bias.data).max() <= bound
+        assert np.abs(params.weight.data).max() > 0.9 * bound
 
 
 def test_encode_gradient_matches_finite_differences(clip, rng):
-    params = encoder.init_encoder(rng, 16, 1, feature_dim=6)
+    params = _params(rng, 16, 6)
 
     def f(w, b):
         feat = encoder.encode(encoder.clip_statistics(clip),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import tcgl.diffcore as dc
 from tcgl import encoder, evalkit, sampler, trainer
 
 from conftest import small_config
@@ -31,23 +30,6 @@ def test_gallery_rejects_non_finite():
     with pytest.raises(ValueError):
         evalkit.EmbeddingGallery(embeddings=np.array([[np.inf, 0.0]]),
                                  labels=np.array([0]))
-
-
-def test_gallery_save_load_round_trip(tmp_path):
-    g = _toy_gallery()
-    evalkit.save_gallery(g, tmp_path / "gal")
-    loaded = evalkit.load_gallery(tmp_path / "gal")
-    assert np.array_equal(loaded.embeddings, g.embeddings)
-    assert np.array_equal(loaded.labels, g.labels)
-    assert loaded.split == g.split
-
-
-def test_load_gallery_rejects_other_blobs(tmp_path):
-    from tcgl import blobio
-    blobio.save_arrays(tmp_path / "ck", {"x": np.ones(1)},
-                       meta={"kind": "checkpoint"})
-    with pytest.raises(ValueError):
-        evalkit.load_gallery(tmp_path / "ck")
 
 
 def test_retrieve_matches_brute_force_cosine_sort():
@@ -96,11 +78,10 @@ def test_monotone_topk_reports_accuracies():
     assert accs[-1] == pytest.approx(1.0)
 
 
-def test_gallery_embedding_is_the_single_node_gcn_with_its_bias(small_dataset):
+def test_gallery_embedding_is_the_single_node_gcn(small_dataset):
     cfg = small_config(str(small_dataset))
     _, videos = sampler.load_dataset(small_dataset)
     model = trainer.build_model(cfg)
-    model.gcn_inter.bias = dc.Tensor(np.linspace(-1.0, 1.0, cfg.gcn_dim))
     gallery = evalkit.build_gallery(videos[:5], model, cfg)
     backbone = evalkit.build_gallery(videos[:5], model, cfg, backbone_only=True)
     for row, feat, video in zip(gallery.embeddings, backbone.embeddings, videos):
@@ -108,7 +89,7 @@ def test_gallery_embedding_is_the_single_node_gcn_with_its_bias(small_dataset):
         stats = encoder.clip_statistics(middle)
         want_feat = np.maximum(stats @ model.enc_snip.weight.data + model.enc_snip.bias.data, 0)
         assert np.allclose(feat, want_feat, rtol=1e-12, atol=1e-12)
-        want = np.maximum(feat @ model.gcn_inter.weight.data + model.gcn_inter.bias.data, 0)
+        want = np.maximum(feat @ model.gcn_inter.weight.data, 0)
         assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
 
 

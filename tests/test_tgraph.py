@@ -63,17 +63,26 @@ def test_view_rejects_bad_probability():
 def test_gcn_forward_shape_and_relu():
     g = _graph(n=4, f=8)
     rng = np.random.default_rng(5)
-    params = tgraph.init_gcn(rng, 8, 6)
+    params = tgraph.GcnParams(dc.init_linear(rng, 8, 6, bias=False))
     view = tgraph.generate_view(g, 0.0, 0.0, rng, 2)
     out = tgraph.gcn_forward(view, params)
     assert out.shape == (4, 6)
     assert np.all(out.data >= 0.0)
 
 
+def test_gcn_on_the_graph_is_its_clean_view():
+    g = _graph(n=5, f=8)
+    rng = np.random.default_rng(11)
+    params = tgraph.GcnParams(dc.init_linear(rng, 8, 6, bias=False))
+    view = tgraph.generate_view(g, 0.0, 0.0, rng, 2)
+    assert np.array_equal(tgraph.gcn_forward(g, params).data,
+                          tgraph.gcn_forward(view, params).data)
+
+
 def test_gcn_single_node_degenerates_to_relu_xw():
     g = _graph(n=1, f=8)
     rng = np.random.default_rng(6)
-    params = tgraph.init_gcn(rng, 8, 5)
+    params = tgraph.GcnParams(dc.init_linear(rng, 8, 5, bias=False))
     view = tgraph.generate_view(g, 0.0, 0.0, rng, 2)
     out = tgraph.gcn_forward(view, params)
     expected = np.maximum(g.features.data @ params.weight.data, 0.0)
@@ -85,7 +94,7 @@ def test_gcn_isolated_node_keeps_self_information():
     view = tgraph.GraphView(features=g.features,
                             adjacency=np.zeros((3, 3)), view_index=1)
     rng = np.random.default_rng(8)
-    params = tgraph.init_gcn(rng, 4, 4)
+    params = tgraph.GcnParams(dc.init_linear(rng, 4, 4, bias=False))
     out = tgraph.gcn_forward(view, params)
     assert np.all(np.isfinite(out.data))
     expected = np.maximum(g.features.data @ params.weight.data, 0.0)
@@ -95,11 +104,10 @@ def test_gcn_isolated_node_keeps_self_information():
 def test_gcn_gradient_matches_finite_differences():
     g = _graph(n=4, f=6, seed=9)
     rng = np.random.default_rng(10)
-    params = tgraph.init_gcn(rng, 6, 5)
+    params = tgraph.GcnParams(dc.init_linear(rng, 6, 5, bias=False))
     view = tgraph.generate_view(g, 0.0, 0.0, rng, 2)
 
     def f(w):
-        p = tgraph.GcnParams(weight=w, bias=params.bias)
-        return dc.tsum(tgraph.gcn_forward(view, p))
+        return dc.tsum(tgraph.gcn_forward(view, tgraph.GcnParams(weight=w)))
 
     assert dc.finite_diff_check(f, [params.weight]) < 1e-4

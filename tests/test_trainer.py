@@ -298,3 +298,23 @@ def test_batched_training_reproduces_per_video_rows(small_dataset):
         assert row.keys() == ref.keys()
         for key, want in ref.items():
             assert row[key] == pytest.approx(want, rel=1e-9, abs=0), key
+
+
+def _tape_nodes(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("alpha, most", [(1.0, 102), (0.0, 38)])
+def test_batch_tape_size_does_not_grow(alpha, most):
+    # a default 16-sample batch, joint (alpha = beta = 1) or order-only
+    cfg = trainer.TrainConfig(alpha=alpha, beta=alpha)
+    stats = np.random.default_rng(0).random((16, cfg.n, 2 * cfg.l))
+    draws = trainer.draw_batch(cfg, [np.random.default_rng(1)] * 16)
+    res = trainer.forward_sample(trainer.build_model(cfg), cfg, stats, draws)
+    assert _tape_nodes(dc.tsum(res.loss)) <= most
