@@ -14,11 +14,10 @@ from tcgl import sampler
 
 
 def main():
-    out = tempfile.mkdtemp(prefix="tcgl-demo-data-")
-    manifest = sampler.generate_dataset(out, num_videos=20, num_classes=5, seed=7)
-    print(f"wrote {len(manifest['videos'])} videos to {out}\n")
-
-    _, videos = sampler.load_dataset(out)
+    with tempfile.TemporaryDirectory(prefix="tcgl-demo-data-") as out:
+        manifest = sampler.generate_dataset(out, num_videos=20, num_classes=5, seed=7)
+        print(f"wrote {len(manifest['videos'])} videos to {out}\n")
+        _, videos = sampler.load_dataset(out)
     print("class periods (frames per contrast cycle):")
     for class_id in range(5):
         label = sampler.label_for_class(class_id)

@@ -17,37 +17,37 @@ def topk_row(queries, gallery, ks):
 
 
 def main():
-    data_dir = tempfile.mkdtemp(prefix="tcgl-demo-retrieval-")
-    sampler.generate_dataset(data_dir, num_videos=60, num_classes=6, seed=7)
+    with tempfile.TemporaryDirectory(prefix="tcgl-demo-retrieval-") as data_dir:
+        sampler.generate_dataset(data_dir, num_videos=60, num_classes=6, seed=7)
 
-    config = trainer.TrainConfig(
-        data_dir=data_dir, epochs=30, batch_size=8, seed=7,
-        feature_dim=16, gcn_dim=16,
-    ).validate()
-    print("training a small model for the demo...")
-    ckpt, _ = trainer.train(config)
+        config = trainer.TrainConfig(
+            data_dir=data_dir, epochs=30, batch_size=8, seed=7,
+            feature_dim=16, gcn_dim=16,
+        ).validate()
+        print("training a small model for the demo...")
+        ckpt, _ = trainer.train(config)
 
-    manifest, videos = sampler.load_dataset(data_dir)
-    train_idx, val_idx = trainer.split_train_val(manifest, config)
-    gallery_videos = [videos[i] for i in train_idx]
-    query_videos = [videos[i] for i in val_idx]
+        manifest, videos = sampler.load_dataset(data_dir)
+        train_idx, val_idx = trainer.split_train_val(manifest, config)
+        gallery_videos = [videos[i] for i in train_idx]
+        query_videos = [videos[i] for i in val_idx]
 
-    ks = (1, 3, 5)
-    trained = trainer.restore_model(ckpt)
-    t_gal = evalkit.build_gallery(gallery_videos, trained, config)
-    t_qry = evalkit.build_gallery(query_videos, trained, config, split="test")
+        ks = (1, 3, 5)
+        trained = trainer.restore_model(ckpt)
+        t_gal = evalkit.build_gallery(gallery_videos, trained, config)
+        t_qry = evalkit.build_gallery(query_videos, trained, config, split="test")
 
-    random_model = trainer.build_model(replace(config, seed=99))
-    r_gal = evalkit.build_gallery(gallery_videos, random_model, config)
-    r_qry = evalkit.build_gallery(query_videos, random_model, config,
-                                  split="test")
+        random_model = trainer.build_model(replace(config, seed=99))
+        r_gal = evalkit.build_gallery(gallery_videos, random_model, config)
+        r_qry = evalkit.build_gallery(query_videos, random_model, config,
+                                      split="test")
 
-    print(f"\n{len(query_videos)} queries vs {len(gallery_videos)} gallery "
-          f"videos, {manifest['num_classes']} classes")
-    print(f"{'k':>3}  {'trained':>8}  {'random init':>11}")
-    t_row, r_row = topk_row(t_qry, t_gal, ks), topk_row(r_qry, r_gal, ks)
-    for k in ks:
-        print(f"{k:>3}  {t_row[k]:>8.3f}  {r_row[k]:>11.3f}")
+        print(f"\n{len(query_videos)} queries vs {len(gallery_videos)} gallery "
+              f"videos, {manifest['num_classes']} classes")
+        print(f"{'k':>3}  {'trained':>8}  {'random init':>11}")
+        t_row, r_row = topk_row(t_qry, t_gal, ks), topk_row(r_qry, r_gal, ks)
+        for k in ks:
+            print(f"{k:>3}  {t_row[k]:>8.3f}  {r_row[k]:>11.3f}")
 
 
 if __name__ == "__main__":

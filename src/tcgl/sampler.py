@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 
 @dataclass
@@ -70,14 +69,6 @@ class SnippetTuple:
 
     def permutation(self):
         return permutation_from_id(self.permutation_id, self.n)
-
-    def unshuffled(self):
-        """Snippets restored to chronological order."""
-        perm = self.permutation()
-        out = [None] * self.n
-        for j, src in enumerate(perm):
-            out[src] = self.snippets[j]
-        return out
 
 
 def num_permutations(n):
@@ -197,6 +188,15 @@ def gen_synthetic_video(seed, label: SyntheticLabel, frames=64, channels=1,
     return VideoTensor(data=data.astype(np.float32), class_id=label.class_id)
 
 
+def analytic_signal(x):
+    """x + i H(x), the analytic signal of a real 1-D signal: its DFT with
+    the negative frequencies zeroed and the positive ones doubled (Marple,
+    IEEE TSP 47(9), 1999)."""
+    spectrum = np.fft.rfft(x)  # frequencies 0 .. n // 2
+    spectrum[1:(len(x) + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum, len(x))  # the negative ones padded with zeros
+
+
 def phase_statistic(video: VideoTensor):
     """Unwrapped analytic phase of the contrast rhythm.
 
@@ -205,8 +205,7 @@ def phase_statistic(video: VideoTensor):
     frame index, making frame order statistically recoverable.
     """
     stds = video.data.std(axis=(1, 2, 3)).astype(np.float64)
-    analytic = scipy.signal.hilbert(stds - stds.mean())
-    return np.unwrap(np.angle(analytic))
+    return np.unwrap(np.angle(analytic_signal(stds - stds.mean())))
 
 
 # -- dataset files ------------------------------------------------------

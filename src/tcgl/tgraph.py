@@ -17,15 +17,8 @@ from . import diffcore as dc
 
 @dataclass
 class TemporalGraph:
-    features: dc.Tensor   # (..., N, F) node features, chronological order
-    adjacency: np.ndarray  # (N, N) binary, symmetric, zero diagonal
-
-
-@dataclass
-class GraphView:
-    features: dc.Tensor    # (..., N, F) masked features
-    adjacency: np.ndarray  # (..., N, N) reduced adjacency
-    view_index: int = 1
+    features: dc.Tensor    # (..., N, F) node features, chronological order
+    adjacency: np.ndarray  # (..., N, N) binary, symmetric, zero diagonal
 
 
 @dataclass
@@ -79,20 +72,20 @@ def view_from_coins(coins, adjacency, p_r, p_m):
     return adj, (coins[..., None, iu.size:] >= p_m).astype(np.float64)
 
 
-def apply_view(g: TemporalGraph, adjacency, mask, view_index=1):
+def apply_view(g: TemporalGraph, adjacency, mask):
     """The view of ``g`` with the given adjacency and feature mask; with
     leading batch axes, each graph gets its own."""
-    return GraphView(features=dc.mul(g.features, dc.Tensor(mask)), adjacency=adjacency,
-                     view_index=view_index)
+    return TemporalGraph(features=dc.mul(g.features, dc.Tensor(mask)), adjacency=adjacency)
 
 
 def generate_view(g: TemporalGraph, p_r, p_m, rng, view_index=1):
     """Corrupted copy: edges removed with prob p_r, feature dims masked with
-    p_m. With p_r = p_m = 0 nothing is drawn and ``g``'s tensors are reused."""
+    p_m. With p_r = p_m = 0 nothing is drawn and ``g`` itself is returned.
+    ``view_index`` (1 or 2) names the view and changes nothing."""
     if p_r == 0.0 and p_m == 0.0:
-        return GraphView(features=g.features, adjacency=g.adjacency, view_index=view_index)
+        return g
     coins = rng.random(coin_count(g.adjacency, g.features.data.shape[-1]))
-    return apply_view(g, *view_from_coins(coins, g.adjacency, p_r, p_m), view_index)
+    return apply_view(g, *view_from_coins(coins, g.adjacency, p_r, p_m))
 
 
 def _propagation_matrix(adjacency):
@@ -105,9 +98,9 @@ def _propagation_matrix(adjacency):
 def gcn_forward(graph, params: GcnParams):
     """relu(D^-1/2 (A + I) D^-1/2 X W), symmetric normalization with self-loops.
 
-    ``graph`` is a TemporalGraph, whose clean chain is its own view 2, or a
-    GraphView. Features are (..., N, F) and adjacency (..., N, N); leading
-    axes are graphs of one batch and broadcast against each other.
+    ``graph`` is a clean chain, its own view 2, or a drawn view. Features
+    are (..., N, F) and adjacency (..., N, N); leading axes are graphs of
+    one batch and broadcast against each other.
     """
     if graph.features.data.shape[-1] != params.weight.shape[0]:
         raise ValueError(

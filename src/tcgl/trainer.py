@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class Model:
                 for block in fields(self) for leaf in fields(getattr(self, block.name))}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     params: dict
     momentum: dict
@@ -325,14 +325,18 @@ def restore_model(ckpt: Checkpoint, channels=1):
     return model
 
 
-def train(config: TrainConfig, resume_from=None, log=None):
-    """Run the full loop; returns (best Checkpoint, metric rows).
+def _snapshot(model, momentum, epoch, config, best_val_loss):
+    """A Checkpoint holding copies of the model's parameters and momentum."""
+    return Checkpoint(params={k: t.data.copy() for k, t in model.named_params().items()},
+                      momentum={k: v.copy() for k, v in momentum.items()},
+                      epoch=epoch, config=config, best_val_loss=best_val_loss)
 
-    Writes metrics.csv plus best/ and last/ checkpoints under out_dir
-    when it is set. ``resume_from`` continues a saved last/ checkpoint;
-    metrics.csv keeps its rows of the epochs before it, and when no later
-    epoch improves the validation loss, the best/ beside it is returned.
-    """
+
+def _start(config, resume_from):
+    """Everything a run needs before its first epoch: (model, momentum, the
+    Checkpoint it continues from, per-video statistics, train and
+    validation indices). A fresh run continues epoch -1, with zero momentum
+    and no best validation loss; a resumed one continues ``resume_from``."""
     config.validate()
     manifest, videos = sampler.load_dataset(config.data_dir)
     channels = videos[0].channels
@@ -344,89 +348,87 @@ def train(config: TrainConfig, resume_from=None, log=None):
             )
     train_idx, val_idx = split_train_val(manifest, config)
 
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        if asdict(ckpt.config) != asdict(config):
-            raise ValueError("resume checkpoint was trained with a different config")
-        model = restore_model(ckpt, channels)
-        state = {k: v.copy() for k, v in ckpt.momentum.items()}
-        start_epoch = ckpt.epoch + 1
-        best_val = ckpt.best_val_loss
-    else:
+    if resume_from is None:
         model = build_model(config, channels)
-        state = {k: np.zeros_like(t.data) for k, t in model.named_params().items()}
-        start_epoch = 0
-        best_val = float("inf")
-
-    params = model.named_params()
+        zeros = {k: np.zeros_like(t.data) for k, t in model.named_params().items()}
+        start = _snapshot(model, zeros, -1, config, float("inf"))
+    else:
+        start = load_checkpoint(resume_from)
+        if asdict(start.config) != asdict(config):
+            raise ValueError("resume checkpoint was trained with a different config")
+        model = restore_model(start, channels)
+    momentum = {k: v.copy() for k, v in start.momentum.items()}
     stats = [video_statistics(v, config) for v in videos]
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    history = []
+    return model, momentum, start, stats, train_idx, val_idx
+
+
+def _train_epoch(model, momentum, config, stats, train_idx, epoch):
+    """One epoch of SGD over ``train_idx``; returns the means of the joint,
+    graph and order losses and the order accuracy."""
+    lr = config.lr * (0.1 if epoch >= config.decay_epoch() else 1.0)
+    rng = _epoch_rng(config.seed, 1, epoch)
+    order = rng.permutation(len(train_idx))
+    params = model.named_params()
+    sums = np.zeros(3)
+    correct = 0
+    for batch_start in range(0, len(order), config.batch_size):
+        batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
+        draws = draw_batch(config, [rng] * len(batch))
+        res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
+        for tensor in params.values():
+            tensor.grad = None
+        dc.backward(dc.tsum(res.loss))
+        grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad) / len(batch)
+                 for name, t in params.items()}
+        sgd_step(params, grads, momentum, lr, config.momentum, config.weight_decay)
+        sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
+        correct += int(res.correct.sum())
+    return (*(sums / len(train_idx)), correct / len(train_idx))
+
+
+def _persist(out_dir, log, rows, ckpt, improved):
+    """The one writer of an epoch's results, in this order: ``log`` of its
+    row (the last of ``rows``), then, under ``out_dir`` when it is set,
+    metrics.csv of every row, best/ when the epoch improved, and last/."""
+    if log:
+        log(rows[-1])
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if resume_from is not None and (out_dir / "metrics.csv").exists():
-            with open(out_dir / "metrics.csv", newline="") as fh:
-                history = [r for r in csv.DictReader(fh) if int(r["epoch"]) < start_epoch]
-    rows = []
-    best_ckpt = None
+        write_metrics(out_dir / "metrics.csv", rows)
+        if improved:
+            save_checkpoint(ckpt, out_dir / "best")
+        save_checkpoint(ckpt, out_dir / "last")
 
-    for epoch in range(start_epoch, config.epochs):
-        lr = config.lr * (0.1 if epoch >= config.decay_epoch() else 1.0)
-        rng = _epoch_rng(config.seed, 1, epoch)
-        order = rng.permutation(len(train_idx))
-        sums = np.zeros(3)
-        correct = 0
-        for batch_start in range(0, len(order), config.batch_size):
-            batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
-            draws = draw_batch(config, [rng] * len(batch))
-            res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
-            for tensor in params.values():
-                tensor.grad = None
-            dc.backward(dc.tsum(res.loss))
-            grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad) / len(batch)
-                     for name, t in params.items()}
-            sgd_step(params, grads, state, lr, config.momentum, config.weight_decay)
-            sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
-            correct += int(res.correct.sum())
 
-        n_train = len(train_idx)
+def train(config: TrainConfig, resume_from=None, log=None):
+    """Run the full loop; returns (best Checkpoint, metric rows).
+
+    Writes metrics.csv plus best/ and last/ checkpoints under out_dir
+    when it is set. ``resume_from`` continues a saved last/ checkpoint;
+    metrics.csv keeps its rows up to that checkpoint's epoch, and when no
+    later epoch improves the validation loss, the best/ beside it is
+    returned.
+    """
+    model, momentum, last, stats, train_idx, val_idx = _start(config, resume_from)
+    out_dir = Path(config.out_dir) if config.out_dir else None
+    history = []
+    if out_dir and (out_dir / "metrics.csv").exists():
+        with open(out_dir / "metrics.csv", newline="") as fh:
+            history = [r for r in csv.DictReader(fh) if int(r["epoch"]) <= last.epoch]
+    rows, best = [], None
+    for epoch in range(last.epoch + 1, config.epochs):
+        train_means = _train_epoch(model, momentum, config, stats, train_idx, epoch)
         val_loss, val_acc = evaluate(model, config, stats, val_idx)
-        row = {
-            "epoch": epoch,
-            "total_loss": sums[0] / n_train,
-            "graph_loss": sums[1] / n_train,
-            "order_loss": sums[2] / n_train,
-            "train_acc": correct / n_train,
-            "val_acc": val_acc,
-            "val_loss": val_loss,
-        }
-        rows.append(row)
-        if log:
-            log(row)
-        if out_dir:
-            write_metrics(out_dir / "metrics.csv", history + rows)
+        rows.append(dict(zip(METRIC_FIELDS, (epoch, *train_means, val_acc, val_loss))))
+        improved = val_loss < last.best_val_loss
+        last = _snapshot(model, momentum, epoch, config,
+                         val_loss if improved else last.best_val_loss)
+        best = last if improved else best
+        _persist(out_dir, log, history + rows, last, improved)
 
-        ckpt = Checkpoint(
-            params={k: t.data.copy() for k, t in params.items()},
-            momentum={k: v.copy() for k, v in state.items()},
-            epoch=epoch,
-            config=config,
-            best_val_loss=best_val,
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            ckpt.best_val_loss = best_val
-            best_ckpt = ckpt
-            if out_dir:
-                save_checkpoint(ckpt, out_dir / "best")
-        ckpt.best_val_loss = best_val
-        if out_dir:
-            save_checkpoint(ckpt, out_dir / "last")
-
-    if best_ckpt is None:
-        best_ckpt = (ckpt if resume_from is None
-                     else load_checkpoint(Path(resume_from).parent / "best"))
-    return best_ckpt, rows
+    if best is None:
+        best = last if resume_from is None else load_checkpoint(Path(resume_from).parent / "best")
+    return best, rows
 
 
 METRIC_FIELDS = ("epoch", "total_loss", "graph_loss", "order_loss",

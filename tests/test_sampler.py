@@ -59,8 +59,8 @@ def test_shuffle_tuple_identity_and_inverse():
     for orig, shuf in zip(snippets, tup.snippets):
         assert np.array_equal(orig, shuf)
     tup4 = sampler.shuffle_tuple(snippets, permutation_id=4)
-    for orig, rest in zip(snippets, tup4.unshuffled()):
-        assert np.array_equal(orig, rest)
+    for src, shuf in zip(tup4.permutation(), tup4.snippets):
+        assert np.array_equal(snippets[src], shuf)
 
 
 def test_shuffle_tuple_rejects_bad_id():
@@ -118,6 +118,32 @@ def test_phase_statistic_tracks_frame_index():
         for i in range(100)
     )
     assert worst > 0.9
+
+
+def _analytic_by_definition(x):
+    """O(n^2) oracle: the DFT written out as a sum, negative frequencies
+    dropped, positive ones doubled, then the inverse DFT as a sum."""
+    n = len(x)
+    t = np.arange(n)
+    spectrum = np.array([np.sum(x * np.exp(-2j * np.pi * k * t / n)) for k in range(n)])
+    weights = np.array([1.0 if k == 0 or 2 * k == n else 2.0 if 2 * k < n else 0.0
+                        for k in range(n)])
+    return np.array([np.sum(weights * spectrum * np.exp(2j * np.pi * t * s / n))
+                     for s in range(n)]) / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+def test_analytic_signal_matches_dft_definition(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    z = sampler.analytic_signal(x)
+    assert np.max(np.abs(z - _analytic_by_definition(x))) <= 1e-12
+    assert np.max(np.abs(z.real - x)) <= 1e-12
+
+
+def test_analytic_signal_of_a_cosine_is_its_complex_exponential():
+    t = np.arange(64)
+    phase = 2.0 * np.pi * 5 * t / 64 + 0.3
+    assert np.max(np.abs(sampler.analytic_signal(np.cos(phase)) - np.exp(1j * phase))) <= 1e-12
 
 
 def test_distinct_classes_have_distinct_periods():

@@ -91,8 +91,7 @@ def test_gcn_single_node_degenerates_to_relu_xw():
 
 def test_gcn_isolated_node_keeps_self_information():
     g = _graph(n=3, f=4)
-    view = tgraph.GraphView(features=g.features,
-                            adjacency=np.zeros((3, 3)), view_index=1)
+    view = tgraph.TemporalGraph(features=g.features, adjacency=np.zeros((3, 3)))
     rng = np.random.default_rng(8)
     params = tgraph.GcnParams(dc.init_linear(rng, 4, 4, bias=False))
     out = tgraph.gcn_forward(view, params)

@@ -183,6 +183,67 @@ def test_resume_returns_the_saved_best(tmp_path, small_dataset):
             assert np.array_equal(best.momentum[k], best_full.momentum[k])
 
 
+@pytest.fixture(scope="module")
+def uninterrupted_run(small_dataset, tmp_path_factory):
+    """The 4-epoch run of small_config: its config, rows, best checkpoint,
+    metrics.csv bytes and last/ checkpoint."""
+    out = tmp_path_factory.mktemp("uninterrupted")
+    cfg = small_config(str(small_dataset), epochs=4, out_dir=str(out))
+    best, rows = trainer.train(cfg)
+    return cfg, rows, best, (out / "metrics.csv").read_bytes(), trainer.load_checkpoint(out / "last")
+
+
+def _same_arrays(a, b):
+    assert a.params.keys() == b.params.keys()
+    for k in a.params:
+        assert a.params[k].tobytes() == b.params[k].tobytes()
+        assert a.momentum[k].tobytes() == b.momentum[k].tobytes()
+
+
+# Each write of an epoch, in the order the run makes them; best/ is only
+# written by epoch 1, the one later epoch that improves the validation loss.
+@pytest.mark.parametrize("point, crash_epoch", [
+    *[("log", k) for k in (1, 2, 3)],
+    *[("metrics", k) for k in (1, 2, 3)],
+    ("best", 1),
+    *[("last", k) for k in (1, 2, 3)],
+])
+def test_resume_after_crash_at_each_write_reproduces_run(tmp_path, monkeypatch, uninterrupted_run,
+                                                         point, crash_epoch):
+    cfg, rows_full, best_full, csv_full, last_full = uninterrupted_run
+    cfg = replace(cfg, out_dir=str(tmp_path))
+    real_metrics, real_save = trainer.write_metrics, trainer.save_checkpoint
+
+    def crashing_log(row):
+        if point == "log" and row["epoch"] == crash_epoch:
+            raise Crash
+
+    def crashing_metrics(path, rows):
+        if point == "metrics" and rows[-1]["epoch"] == crash_epoch:
+            raise Crash
+        real_metrics(path, rows)
+
+    def crashing_save(ckpt, path):
+        if path.name == point and ckpt.epoch == crash_epoch:
+            raise Crash
+        real_save(ckpt, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "write_metrics", crashing_metrics)
+        patch.setattr(trainer, "save_checkpoint", crashing_save)
+        with pytest.raises(Crash):
+            trainer.train(cfg, log=crashing_log)
+
+    best, rows = trainer.train(cfg, resume_from=str(tmp_path / "last"))
+    assert rows == rows_full[crash_epoch:]
+    assert (tmp_path / "metrics.csv").read_bytes() == csv_full
+    assert (best.epoch, best.best_val_loss) == (best_full.epoch, best_full.best_val_loss)
+    _same_arrays(best, best_full)
+    last = trainer.load_checkpoint(tmp_path / "last")
+    assert (last.epoch, last.best_val_loss) == (last_full.epoch, last_full.best_val_loss)
+    _same_arrays(last, last_full)
+
+
 def test_resume_rejects_different_config(tmp_path, small_dataset):
     data_dir = str(small_dataset)
     cfg = small_config(data_dir, epochs=2, out_dir=str(tmp_path / "run"))
