@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import diffcore as dc
-
-NEG_MASK = -1e30  # additive mask removing a term from a logsumexp exactly
 
 
 @dataclass
@@ -87,12 +83,8 @@ def graph_loss(u_rows, v_rows, tau, proj: ProjectionParams):
         raise ValueError(
             f"view shapes differ: {u_rows.data.shape} vs {v_rows.data.shape}"
         )
-    n = u_rows.data.shape[-2]
     p = dc.l2_normalize(project(dc.concat([u_rows, v_rows], axis=-2), proj), axis=-1)
-    sim = dc.matmul(p, dc.transpose(p)) / tau
-    lse = dc.logsumexp_rows(dc.add(sim, np.eye(2 * n) * NEG_MASK))
-    positives = dc.tsum(dc.mul(sim, np.roll(np.eye(2 * n), n, axis=-1)), axis=-1)
-    return dc.mean(lse - positives, axis=-1)
+    return dc.nt_xent(p, tau)
 
 
 def total_graph_loss(intra_losses, inter_loss, alpha, beta):

@@ -2,16 +2,18 @@
 
 Holds exactly the operations the training losses need: matmul, add,
 hadamard, concat/stack, reshape, relu, exp, log, l2_normalize, softmax,
-reductions and indexing, plus the one linear layer (``init_linear``,
-``linear``) that every parameterised block is built from. Every op
-accepts leading batch axes, so a whole minibatch of small graphs runs as
-stacked arrays on one tape. Gradients are accumulated by walking the
-recorded operation graph in reverse topological order; the graph is
-rebuilt on every forward pass (define-by-run), so there is no hidden
-state between steps.
+reductions and indexing; the one linear layer every parameterised block
+is built from (``init_linear``, ``linear``); and the fused one-node
+``graph_conv`` and ``nt_xent``. Every op accepts leading batch axes, so a
+whole minibatch of small graphs runs as stacked arrays on one tape. The
+tape is rebuilt on every forward pass (define-by-run), so its creation
+order is topological and there is no hidden state between steps.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -28,7 +30,8 @@ class Tensor:
     every reachable tensor that requires it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
+    _creation = itertools.count()  # stamps every tensor in creation order
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data)
@@ -40,14 +43,11 @@ class Tensor:
         self._parents = tuple(p for p in _parents if p.requires_grad)
         self.requires_grad = bool(requires_grad) or bool(self._parents)
         self._backward = _backward if self.requires_grad else None
+        self._stamp = next(Tensor._creation)
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -68,9 +68,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -109,36 +106,26 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _toposort(root):
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss):
     """Fill ``grad`` on every leaf tensor the scalar ``loss`` depends on.
 
-    An interior node drops its gradient once it has passed it on, so a
-    batch's tape never holds a second copy of all its activations.
+    Rules run newest node first: a node is created after its parents, so
+    it has its whole gradient when its rule runs. An interior node drops
+    its gradient once passed on, so the tape never holds a second copy.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    order = _toposort(loss)
+    nodes, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    order = sorted(nodes.values(), key=lambda node: node._stamp, reverse=True)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    for node in order:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
@@ -191,48 +178,31 @@ def mul(a, b):
     return Tensor(out_data, _parents=(a, b), _backward=rule)
 
 
+def _matmul_grads(a, b, g, want_a, want_b):
+    """Gradients of np.matmul(a, b) w.r.t. the wanted arrays, else None."""
+    # Promote 1-D operands as np.matmul does, so one rule covers every case.
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    if b.ndim == 1:
+        g = g[..., None]
+    if a.ndim == 1:
+        g = g[..., None, :]
+    ga = gb = None
+    if want_a:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b2, -1, -2)), a2.shape).reshape(a.shape)
+    if want_b:
+        if b2.ndim == 2:  # a shared matrix: one product over all batch rows
+            gb = a2.reshape(-1, a2.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), b2.shape)
+        gb = gb.reshape(b.shape)
+    return ga, gb
+
+
 def matmul(a, b):
     """Matrix product with ``np.matmul`` semantics: 1-D operands are
     promoted to a row or column, leading axes are batch axes that broadcast."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError(f"matmul: scalar operand in {a.data.shape} @ {b.data.shape}")
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul: shapes {a.data.shape} @ {b.data.shape} do not conform")
-
-    def rule(g):
-        # Promote 1-D operands as np.matmul does, so one rule covers every case.
-        a2 = a.data[None, :] if a.data.ndim == 1 else a.data
-        b2 = b.data[:, None] if b.data.ndim == 1 else b.data
-        if b.data.ndim == 1:
-            g = g[..., None]
-        if a.data.ndim == 1:
-            g = g[..., None, :]
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b2, -1, -2)), a2.shape)
-            _accumulate(a, ga.reshape(a.data.shape))
-        if b.requires_grad:
-            if b2.ndim == 2:  # a shared matrix: one product over all batch rows
-                gb = a2.reshape(-1, a2.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), b2.shape)
-            _accumulate(b, gb.reshape(b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=rule)
-
-
-def transpose(a):
-    """Swap the last two axes."""
-    a = _as_tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: need at least a matrix, got shape {a.data.shape}")
-
-    def rule(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
-
-    return Tensor(np.swapaxes(a.data, -1, -2), _parents=(a,), _backward=rule)
+    return linear(a, b)
 
 
 def concat(tensors, axis=0):
@@ -365,9 +335,42 @@ def init_linear(rng, d_in, d_out, gain=INIT_GAIN, bias=True):
 
 
 def linear(x, weight, bias=None):
-    """x @ weight (+ bias) over the last axis of ``x``."""
-    h = matmul(x, weight)
-    return h if bias is None else add(h, bias)
+    """x @ weight (+ bias) over the last axis of ``x``, as one tape node;
+    the product follows ``matmul``."""
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    try:
+        out_data = np.matmul(x.data, weight.data)
+    except ValueError:
+        raise ShapeError(f"matmul: shapes {x.data.shape} @ {weight.data.shape} do not conform")
+    if bias is not None:
+        out_data = out_data + bias.data
+
+    def rule(g):
+        gx, gw = _matmul_grads(x.data, weight.data, g, x.requires_grad, weight.requires_grad)
+        _accumulate(x, gx)
+        _accumulate(weight, gw)
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data, _parents=parents, _backward=rule)
+
+
+def graph_conv(s, x, weight):
+    """relu(s @ x @ weight) as one tape node, for node features ``x``
+    (..., N, F) and constant propagation matrices ``s`` (..., N, N)."""
+    x = _as_tensor(x)
+    sx = np.matmul(s, x.data)
+    out_data = np.matmul(sx, weight.data)
+    mask = out_data > 0  # subgradient at 0 is taken as 0
+
+    def rule(g):
+        g = g * mask
+        gsx, gw = _matmul_grads(sx, weight.data, g, x.requires_grad, weight.requires_grad)
+        _accumulate(weight, gw)
+        _accumulate(x, _matmul_grads(s, x.data, gsx, False, x.requires_grad)[1])
+
+    return Tensor(out_data * mask, _parents=(x, weight), _backward=rule)
 
 
 def l2_normalize(a, axis=-1, eps=1e-12):
@@ -411,21 +414,41 @@ def log_softmax(a, axis=-1):
     return Tensor(out_data, _parents=(a,), _backward=rule)
 
 
-def logsumexp_rows(a):
-    """log(sum(exp(x))) over the last axis, with max-subtraction."""
-    a = _as_tensor(a)
-    if a.data.ndim == 0:
-        raise ShapeError("logsumexp_rows: need at least a vector, got a scalar")
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=-1)
-    out_data = np.log(s) + m[..., 0]
-    sm = e / s[..., None]
+NEG_MASK = -1e30  # additive mask removing a term from a logsumexp exactly
+
+
+@functools.lru_cache(maxsize=None)
+def _nt_xent_constants(two_n):
+    """(diagonal mask, one-hot positive at column i + N mod 2N) of row i."""
+    mask = np.eye(two_n) * NEG_MASK
+    positive = np.roll(np.eye(two_n), two_n // 2, axis=-1)
+    mask.flags.writeable = positive.flags.writeable = False
+    return mask, positive
+
+
+def nt_xent(p, tau):
+    """NT-Xent loss of each stack ``p`` (..., 2N, D) of unit rows, as one
+    tape node: the mean over anchors i of -log softmax of the positive
+    (row i + N mod 2N) among p_i . p_k / tau for every k != i in the stack."""
+    p = _as_tensor(p)
+    if p.data.ndim < 2 or p.data.shape[-2] % 2:
+        raise ShapeError(f"nt_xent: need (..., 2N, D) rows, got shape {p.data.shape}")
+    two_n = p.data.shape[-2]
+    mask, positive = _nt_xent_constants(two_n)
+    sim = np.matmul(p.data, np.swapaxes(p.data, -1, -2)) * (1.0 / tau)
+    logits = sim + mask
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=-1)
+    out_data = (np.log(total) + top[..., 0] - (sim * positive).sum(axis=-1)).mean(axis=-1)
 
     def rule(g):
-        _accumulate(a, sm * g[..., None])
+        # d loss / d sim = (masked softmax - one-hot positive) / 2N, and
+        # sim = p p^T / tau sends dS to dP = (dS + dS^T) p.
+        ds = (e / total[..., None] - positive) * (g[..., None, None] / (two_n * tau))
+        _accumulate(p, np.matmul(ds + np.swapaxes(ds, -1, -2), p.data))
 
-    return Tensor(out_data, _parents=(a,), _backward=rule)
+    return Tensor(out_data, _parents=(p,), _backward=rule)
 
 
 def finite_diff_check(f, inputs, epsilon=1e-5):

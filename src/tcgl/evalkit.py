@@ -89,7 +89,7 @@ def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
     if len(indices) == 0:
         raise ValueError("no videos to evaluate")
     stats = {idx: trainer.video_statistics(videos[idx], config) for idx in indices}
-    return trainer.evaluate(model, config, stats, indices)[1]
+    return trainer.evaluate(model, config, trainer.validation_batches(config, stats, indices))[1]
 
 
 # -- consolidated verification -----------------------------------------

@@ -10,6 +10,8 @@ video appearance, which is randomized as a nuisance.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import struct
@@ -33,14 +35,6 @@ class VideoTensor:
     @property
     def channels(self):
         return self.data.shape[1]
-
-    @property
-    def height(self):
-        return self.data.shape[2]
-
-    @property
-    def width(self):
-        return self.data.shape[3]
 
 
 @dataclass
@@ -88,6 +82,15 @@ def permutation_from_id(permutation_id, n):
         perm.append(items.pop(k // f))
         k %= f
     return tuple(perm)
+
+
+@functools.lru_cache(maxsize=None)
+def permutation_table(n):
+    """Read-only (n!, n) array whose row k is ``permutation_from_id(k, n)``:
+    itertools lists the permutations of range(n) in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
 
 def id_from_permutation(perm):
@@ -215,8 +218,7 @@ _HEADER = struct.Struct("<5i")  # frames, channels, height, width, class_id
 
 def write_video(path, video: VideoTensor):
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(video.frames, video.channels, video.height,
-                              video.width, video.class_id))
+        fh.write(_HEADER.pack(*video.data.shape, video.class_id))
         fh.write(video.data.astype("<f4").tobytes())
 
 

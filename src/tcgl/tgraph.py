@@ -8,6 +8,7 @@ Bernoulli-drawn subset of feature dimensions across all nodes at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,14 @@ class GcnParams:
     weight: dc.Tensor  # (F, F_out)
 
 
+@functools.lru_cache(maxsize=None)
 def chain_adjacency(n):
+    """The (n, n) chain adjacency, built once per n and read-only."""
     a = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n - 1)
     a[idx, idx + 1] = 1
     a[idx + 1, idx] = 1
+    a.flags.writeable = False
     return a
 
 
@@ -95,17 +99,25 @@ def _propagation_matrix(adjacency):
     return a_hat * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_propagation(n):
+    s = _propagation_matrix(chain_adjacency(n))
+    s.flags.writeable = False
+    return s
+
+
 def gcn_forward(graph, params: GcnParams):
     """relu(D^-1/2 (A + I) D^-1/2 X W), symmetric normalization with self-loops.
 
-    ``graph`` is a clean chain, its own view 2, or a drawn view. Features
-    are (..., N, F) and adjacency (..., N, N); leading axes are graphs of
-    one batch and broadcast against each other.
+    ``graph`` is a clean chain, whose propagation matrix is built once per
+    N, or a drawn view. Features are (..., N, F) and adjacency (..., N, N);
+    leading axes are graphs of one batch and broadcast against each other.
     """
     if graph.features.data.shape[-1] != params.weight.shape[0]:
         raise ValueError(
             f"feature dim {graph.features.data.shape[-1]} does not match GCN weight "
             f"input dim {params.weight.shape[0]}"
         )
-    s = dc.Tensor(_propagation_matrix(graph.adjacency))
-    return dc.relu(dc.linear(dc.matmul(s, graph.features), params.weight))
+    adj, n = graph.adjacency, graph.adjacency.shape[-1]
+    s = _chain_propagation(n) if adj is chain_adjacency(n) else _propagation_matrix(adj)
+    return dc.graph_conv(s, graph.features, params.weight)

@@ -214,7 +214,7 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
                                         model.proj_intra, config.tau)  # (B, n)
     j_graph = contrast.total_graph_loss(intra_losses, j_inter, config.alpha, config.beta)
 
-    perms = np.array([sampler.permutation_from_id(int(pid), n) for pid in draws.perm_ids])
+    perms = sampler.permutation_table(n)[draws.perm_ids]
     shuffled = v_embed[np.arange(b)[:, None], perms]  # (B, n, F)
     pred, j_order = orderhead.order_head_forward(shuffled, draws.perm_ids, model.order)
     loss = orderhead.total_loss(j_graph, j_order, config.lambda_g, config.lambda_o)
@@ -264,21 +264,29 @@ def val_permutation_id(seed, video_index, n):
     return int(rng.integers(sampler.num_permutations(n)))
 
 
-def evaluate(model, config, stats, indices):
-    """Mean loss and order accuracy over ``indices``, in batches of
-    ``batch_size``; each video's draws come from its own (seed, idx)
-    generators, so they do not depend on the batching. ``stats[idx]`` is
-    video idx's ``video_statistics``."""
+def validation_batches(config, stats, indices):
+    """(stacked ``stats``, draws) per ``batch_size`` chunk of ``indices``.
+    Each video draws from its own (seed, idx) generators, so the batches
+    depend neither on the batching nor on the epoch: a run builds them once."""
     indices = list(indices)
-    total, correct = 0.0, 0
+    batches = []
     for start in range(0, len(indices), config.batch_size):
         chunk = indices[start:start + config.batch_size]
         draws = draw_batch(config, [_epoch_rng(config.seed, 6, idx) for idx in chunk],
                            [val_permutation_id(config.seed, idx, config.n) for idx in chunk])
-        res = forward_sample(model, config, np.stack([stats[idx] for idx in chunk]), draws)
+        batches.append((np.stack([stats[idx] for idx in chunk]), draws))
+    return batches
+
+
+def evaluate(model, config, batches):
+    """Mean loss and order accuracy over ``validation_batches``."""
+    total, correct = 0.0, 0
+    for batch_stats, draws in batches:
+        res = forward_sample(model, config, batch_stats, draws)
         total += res.loss.data.sum()
         correct += int(res.correct.sum())
-    return total / len(indices), correct / len(indices)
+    count = sum(len(draws.perm_ids) for _, draws in batches)
+    return total / count, correct / count
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -386,15 +394,14 @@ def _train_epoch(model, momentum, config, stats, train_idx, epoch):
     return (*(sums / len(train_idx)), correct / len(train_idx))
 
 
-def _persist(out_dir, log, rows, ckpt, improved):
+def _persist(out_dir, log, row, ckpt, improved):
     """The one writer of an epoch's results, in this order: ``log`` of its
-    row (the last of ``rows``), then, under ``out_dir`` when it is set,
-    metrics.csv of every row, best/ when the epoch improved, and last/."""
+    row, then, under ``out_dir`` when it is set, the row appended to
+    metrics.csv, best/ when the epoch improved, and last/."""
     if log:
-        log(rows[-1])
+        log(row)
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics(out_dir / "metrics.csv", rows)
+        write_metrics(out_dir / "metrics.csv", [row])
         if improved:
             save_checkpoint(ckpt, out_dir / "best")
         save_checkpoint(ckpt, out_dir / "last")
@@ -403,28 +410,32 @@ def _persist(out_dir, log, rows, ckpt, improved):
 def train(config: TrainConfig, resume_from=None, log=None):
     """Run the full loop; returns (best Checkpoint, metric rows).
 
-    Writes metrics.csv plus best/ and last/ checkpoints under out_dir
-    when it is set. ``resume_from`` continues a saved last/ checkpoint;
-    metrics.csv keeps its rows up to that checkpoint's epoch, and when no
-    later epoch improves the validation loss, the best/ beside it is
-    returned.
+    Writes metrics.csv, one row appended per epoch, plus best/ and last/
+    checkpoints under out_dir when it is set. ``resume_from`` continues a
+    saved last/ checkpoint; metrics.csv keeps its rows up to that
+    checkpoint's epoch, and when no later epoch improves the validation
+    loss, the best/ beside it is returned.
     """
     model, momentum, last, stats, train_idx, val_idx = _start(config, resume_from)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    history = []
-    if out_dir and (out_dir / "metrics.csv").exists():
-        with open(out_dir / "metrics.csv", newline="") as fh:
-            history = [r for r in csv.DictReader(fh) if int(r["epoch"]) <= last.epoch]
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / "metrics.csv"
+        if path.exists():  # once per run: keep the header and the rows up to last's epoch
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[:1] + [line for line in lines[1:]
+                                                   if int(line.split(b",", 1)[0]) <= last.epoch]))
+    val_batches = validation_batches(config, stats, val_idx)
     rows, best = [], None
     for epoch in range(last.epoch + 1, config.epochs):
         train_means = _train_epoch(model, momentum, config, stats, train_idx, epoch)
-        val_loss, val_acc = evaluate(model, config, stats, val_idx)
+        val_loss, val_acc = evaluate(model, config, val_batches)
         rows.append(dict(zip(METRIC_FIELDS, (epoch, *train_means, val_acc, val_loss))))
         improved = val_loss < last.best_val_loss
         last = _snapshot(model, momentum, epoch, config,
                          val_loss if improved else last.best_val_loss)
         best = last if improved else best
-        _persist(out_dir, log, history + rows, last, improved)
+        _persist(out_dir, log, rows[-1], last, improved)
 
     if best is None:
         best = last if resume_from is None else load_checkpoint(Path(resume_from).parent / "best")
@@ -442,7 +453,10 @@ def metrics_line(row):
 
 
 def write_metrics(path, rows):
-    with open(path, "w", newline="") as fh:
+    """Append ``rows`` to the metrics CSV at ``path``, headed by
+    METRIC_FIELDS when the file is new or empty."""
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_FIELDS)
+        if fh.tell() == 0:
+            writer.writerow(METRIC_FIELDS)
         writer.writerows([row[k] for k in METRIC_FIELDS] for row in rows)

@@ -107,3 +107,29 @@ def test_graph_loss_property_matches_oracle(graphs, n, dim, tau, seed):
         err = dc.finite_diff_check(lambda a, b: dc.tsum(contrast.graph_loss(a, b, tau, proj)),
                                    [u, v])
         assert err < 1e-4
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.integers(1, 3), n=st.integers(1, 4), dim=st.integers(1, 4),
+       tau=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau, seed):
+    # With an identity projection and non-negative rows the oracle's
+    # projection is the identity, so it sees exactly what the node sees.
+    rng = np.random.default_rng(seed)
+    eye, zero = dc.Tensor(np.eye(dim)), dc.Tensor(np.zeros(dim))
+    identity = contrast.ProjectionParams(eye, zero, eye, zero)
+    u, v = np.abs(rng.standard_normal((2, graphs, n, dim))) + 0.1
+    rows = dc.l2_normalize(dc.Tensor(np.concatenate([u, v], axis=-2)))
+    losses = dc.nt_xent(rows, tau).data
+    assert losses.shape == (graphs,)
+    for g in range(graphs):
+        assert abs(losses[g] - evalkit.oracle_graph_loss(u[g], v[g], tau, identity)) < 1e-10
+    # the rule holds for any rows, normalised or not
+    p = dc.Tensor(rng.standard_normal((graphs, 2 * n, dim)), requires_grad=True)
+    probe = rng.standard_normal(graphs)
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.nt_xent(t, tau), probe)), [p]) < 1e-6
+
+
+def test_nt_xent_rejects_an_odd_row_count():
+    with pytest.raises(dc.ShapeError):
+        dc.nt_xent(dc.Tensor(np.ones((3, 2))), 0.5)

@@ -110,3 +110,24 @@ def test_gcn_gradient_matches_finite_differences():
         return dc.tsum(tgraph.gcn_forward(view, tgraph.GcnParams(weight=w)))
 
     assert dc.finite_diff_check(f, [params.weight]) < 1e-4
+
+
+def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
+    # each graph of the batch has its own drawn (B, N, N) adjacency
+    rng = np.random.default_rng(12)
+    b, n, f = 3, 5, 4
+    coins = rng.random((b, tgraph.coin_count(tgraph.chain_adjacency(n), f)))
+    adj, mask = tgraph.view_from_coins(coins, tgraph.chain_adjacency(n), 0.4, 0.2)
+    x = dc.Tensor(rng.standard_normal((b, n, f)), requires_grad=True)
+    w = dc.init_linear(rng, f, 3, bias=False)
+    probe = rng.standard_normal((b, n, 3))
+
+    def loss(x, w):
+        view = tgraph.TemporalGraph(dc.mul(x, mask), adj)
+        return dc.tsum(dc.mul(tgraph.gcn_forward(view, tgraph.GcnParams(w)), probe))
+
+    assert dc.finite_diff_check(loss, [x, w]) < 1e-6
+    clean = tgraph.build_chain_graph(x)
+    assert np.array_equal(tgraph.gcn_forward(clean, tgraph.GcnParams(w)).data,
+                          np.maximum(tgraph._propagation_matrix(tgraph.chain_adjacency(n))
+                                     @ x.data @ w.data, 0.0))
