@@ -1,79 +1,77 @@
-"""Manifest-plus-blob persistence for named float arrays.
+"""One-file persistence for named float arrays.
 
-A saved directory holds one binary blob of little-endian array data, a
-text manifest with one line per array (name, dtype, shape, byte offset,
-length, sha256) and a meta.json for scalar metadata. Loading verifies
-checksums, so truncation or corruption is rejected with a diagnostic.
+A saved directory holds one file, arrays.bin: a JSON header line (format
+version, meta, and each array's name, dtype, shape, byte offset and
+length), then the little-endian array bytes, then the sha256 of everything
+before it. A save streams into arrays.bin.tmp and renames it over
+arrays.bin, so a process that dies mid-save leaves the previous file whole.
+Loading checks the digest first, so a damaged or truncated byte anywhere,
+header included, is rejected with a diagnostic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+FILE_NAME = "arrays.bin"
 
-_DTYPES = {"<f4": "<f4", "<f8": "<f8"}
+_DTYPES = ("<f4", "<f8")
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def save_arrays(dir_path, arrays, meta=None):
-    """Write named arrays plus metadata into a directory."""
+    """Write named arrays plus metadata into ``dir_path``/arrays.bin."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    offset = 0
-    with open(out / "data.bin", "wb") as blob:
-        for name, arr in arrays.items():
-            if not name or name[0] == "#" or any(ch.isspace() for ch in name):
-                raise ValueError(f"array name {name!r} must be non-empty, without whitespace "
-                                 "and not start with '#'")
-            arr = np.asarray(arr)
-            dtype = "<f4" if arr.dtype == np.float32 else "<f8"
-            raw = arr.astype(dtype).tobytes()
-            digest = hashlib.sha256(raw).hexdigest()
-            shape = ",".join(str(d) for d in arr.shape) or "-"
-            lines.append(f"{name} {dtype} {shape} {offset} {len(raw)} {digest}")
-            blob.write(raw)
-            offset += len(raw)
-    (out / "manifest.txt").write_text(
-        f"# blobio format {FORMAT_VERSION}\n" + "\n".join(lines) + "\n"
-    )
-    with open(out / "meta.json", "w") as fh:
-        json.dump({"format_version": FORMAT_VERSION, **(meta or {})}, fh, indent=1)
+    header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
+    arrs, offset = [], 0
+    for name, arr in arrays.items():
+        if name.split() != [name] or name[0] == "#":
+            raise ValueError(f"array name {name!r} must be non-empty, without whitespace "
+                             "and not start with '#'")
+        arr = np.asarray(arr)
+        arr = np.require(arr, "<f4" if arr.dtype == np.float32 else "<f8", "C")
+        header["arrays"].append({"name": name, "dtype": arr.dtype.str, "shape": arr.shape,
+                                 "offset": offset, "length": arr.nbytes})
+        arrs.append(arr)
+        offset += arr.nbytes
+    digest = hashlib.sha256()
+    tmp = out / f"{FILE_NAME}.tmp"
+    with open(tmp, "wb") as fh:  # arrays go out from their own buffers, uncopied
+        for chunk in [json.dumps(header).encode() + b"\n", *arrs]:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
+    os.replace(tmp, out / FILE_NAME)
 
 
 def load_arrays(dir_path):
-    """Read back (arrays, meta); raises on version/checksum/truncation problems."""
-    src = Path(dir_path)
-    manifest_path = src / "manifest.txt"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest.txt in {src}")
-    with open(src / "meta.json") as fh:
-        meta = json.load(fh)
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{src}: format version {meta.get('format_version')} != {FORMAT_VERSION}"
-        )
-    blob = (src / "data.bin").read_bytes()
+    """Read back (arrays, meta); raises on checksum, version, dtype or length problems."""
+    path = Path(dir_path) / FILE_NAME
+    if not path.is_file():
+        raise FileNotFoundError(f"no {FILE_NAME} in {dir_path}")
+    data = path.read_bytes()
+    body = memoryview(data)[:-_DIGEST_SIZE]  # slices of a memoryview copy nothing
+    if hashlib.sha256(body).digest() != data[-_DIGEST_SIZE:]:
+        raise ValueError(f"{path}: checksum mismatch")
+    start = data.index(b"\n") + 1
+    header = json.loads(data[:start])
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: format version {version!r} != {FORMAT_VERSION}")
     arrays = {}
-    for line in manifest_path.read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        try:
-            name, dtype, shape_s, offset_s, nbytes_s, digest = line.split()
-        except ValueError:
-            raise ValueError(f"{src}: malformed manifest line {line!r}")
+    for entry in header["arrays"]:
+        name, dtype, offset, length = (entry[k] for k in ("name", "dtype", "offset", "length"))
         if dtype not in _DTYPES:
-            raise ValueError(f"{src}: unknown dtype {dtype!r} in manifest")
-        offset, nbytes = int(offset_s), int(nbytes_s)
-        raw = blob[offset:offset + nbytes]
-        if len(raw) != nbytes:
-            raise ValueError(f"{src}: blob truncated at array {name!r}")
-        if hashlib.sha256(raw).hexdigest() != digest:
-            raise ValueError(f"{src}: checksum mismatch for array {name!r}")
-        shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return arrays, meta
+            raise ValueError(f"{path}: unknown dtype {dtype!r} for array {name!r}")
+        raw = body[start + offset:start + offset + length]
+        if len(raw) != length:
+            raise ValueError(f"{path}: data truncated at array {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype).reshape(entry["shape"]).copy()
+    return arrays, header["meta"]

@@ -383,12 +383,9 @@ def _train_epoch(model, momentum, config, stats, train_idx, epoch):
         batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
         draws = draw_batch(config, [rng] * len(batch))
         res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
-        for tensor in params.values():
-            tensor.grad = None
-        dc.backward(dc.tsum(res.loss))
-        grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad) / len(batch)
-                 for name, t in params.items()}
-        sgd_step(params, grads, momentum, lr, config.momentum, config.weight_decay)
+        grads = dc.grad(dc.tsum(res.loss), list(params.values()))
+        sgd_step(params, {name: g / len(batch) for name, g in zip(params, grads)},
+                 momentum, lr, config.momentum, config.weight_decay)
         sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
         correct += int(res.correct.sum())
     return (*(sums / len(train_idx)), correct / len(train_idx))
@@ -412,7 +409,7 @@ def train(config: TrainConfig, resume_from=None, log=None):
 
     Writes metrics.csv, one row appended per epoch, plus best/ and last/
     checkpoints under out_dir when it is set. ``resume_from`` continues a
-    saved last/ checkpoint; metrics.csv keeps its rows up to that
+    saved last/ checkpoint; metrics.csv keeps its complete rows up to that
     checkpoint's epoch, and when no later epoch improves the validation
     loss, the best/ beside it is returned.
     """
@@ -422,7 +419,8 @@ def train(config: TrainConfig, resume_from=None, log=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "metrics.csv"
         if path.exists():  # once per run: keep the header and the rows up to last's epoch
-            lines = path.read_bytes().splitlines(keepends=True)
+            data = path.read_bytes()  # a crash mid-row leaves a partial line; drop it
+            lines = data[:data.rfind(b"\n") + 1].splitlines(keepends=True)
             path.write_bytes(b"".join(lines[:1] + [line for line in lines[1:]
                                                    if int(line.split(b",", 1)[0]) <= last.epoch]))
     val_batches = validation_batches(config, stats, val_idx)

@@ -1,5 +1,6 @@
 """Property tests of blobio: bit-exact round trips and rejection of damaged data."""
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -28,11 +29,17 @@ def _save(arrays, tmp):
     return path
 
 
+def _file(path):
+    return path / blobio.FILE_NAME
+
+
 @_settings
 @given(st.dictionaries(_names, _arrays(min_side=0), max_size=5))
 def test_round_trip_is_bit_exact(arrays):
     with tempfile.TemporaryDirectory() as tmp:
-        loaded, meta = blobio.load_arrays(_save(arrays, tmp))
+        path = _save(arrays, tmp)
+        assert [f.name for f in path.iterdir()] == [blobio.FILE_NAME]
+        loaded, meta = blobio.load_arrays(path)
     assert meta["kind"] == "test"
     assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
@@ -47,11 +54,12 @@ _non_empty = st.dictionaries(_names, _arrays(min_side=1), min_size=1, max_size=4
 @_settings
 @given(_non_empty, st.data())
 def test_flipped_byte_is_rejected(arrays, data):
+    # anywhere in the file: header, array bytes or the digest itself
     with tempfile.TemporaryDirectory() as tmp:
         path = _save(arrays, tmp)
-        blob = bytearray((path / "data.bin").read_bytes())
+        blob = bytearray(_file(path).read_bytes())
         blob[data.draw(st.integers(0, len(blob) - 1))] ^= 0xFF
-        (path / "data.bin").write_bytes(bytes(blob))
+        _file(path).write_bytes(bytes(blob))
         with pytest.raises(ValueError):
             blobio.load_arrays(path)
 
@@ -61,8 +69,8 @@ def test_flipped_byte_is_rejected(arrays, data):
 def test_truncated_blob_is_rejected(arrays, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = _save(arrays, tmp)
-        blob = (path / "data.bin").read_bytes()
-        (path / "data.bin").write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        blob = _file(path).read_bytes()
+        _file(path).write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
         with pytest.raises(ValueError):
             blobio.load_arrays(path)
 
@@ -71,11 +79,14 @@ def test_truncated_blob_is_rejected(arrays, data):
 @given(_non_empty, st.one_of(st.integers().filter(lambda v: v != blobio.FORMAT_VERSION),
                              st.none(), st.text(max_size=4)))
 def test_wrong_format_version_is_rejected(arrays, version):
+    # the header is rewritten under a valid digest, so only the version check can refuse it
     with tempfile.TemporaryDirectory() as tmp:
         path = _save(arrays, tmp)
-        meta = json.loads((path / "meta.json").read_text())
-        meta["format_version"] = version
-        (path / "meta.json").write_text(json.dumps(meta))
+        head, rest = _file(path).read_bytes()[:-hashlib.sha256().digest_size].split(b"\n", 1)
+        header = json.loads(head)
+        header["format_version"] = version
+        body = json.dumps(header).encode() + b"\n" + rest
+        _file(path).write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(ValueError):
             blobio.load_arrays(path)
 

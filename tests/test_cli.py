@@ -123,6 +123,19 @@ def test_train_eval_retrieve_round_trip(tmp_path, small_dataset, capsys):
     assert all(0.0 <= float(x) <= 1.0 for x in rows[1])
 
 
+@pytest.mark.parametrize("command", ["eval-order", "train"])
+def test_checkpoint_without_arrays_bin_exits_one(tmp_path, small_dataset, capsys, command):
+    # a checkpoint directory in the older three-file layout
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in ("data.bin", "manifest.txt", "meta.json"):
+        (old / name).write_text("")
+    argv = (["eval-order", "--ckpt", str(old)] if command == "eval-order" else
+            ["train", "--data-dir", str(small_dataset), "--resume", str(old)])
+    assert cli.run(argv) == 1
+    assert f"no arrays.bin in {old}" in capsys.readouterr().err
+
+
 def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):
     report_path = tmp_path / "report.csv"
     assert cli.run(["gradcheck", "--out", str(report_path)]) == 0

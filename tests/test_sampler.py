@@ -49,6 +49,17 @@ def test_permutation_property_tuple_roundtrip(perm):
     assert sampler.permutation_from_id(pid, n) == tuple(perm)
 
 
+def test_permutation_table_rows_are_permutation_ids():
+    for n in range(1, 7):
+        table = sampler.permutation_table(n)
+        assert table.shape == (sampler.num_permutations(n), n)
+        for k, row in enumerate(table):
+            assert tuple(row) == sampler.permutation_from_id(k, n)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 def test_permutation_id_zero_is_identity():
     assert sampler.permutation_from_id(0, 3) == (0, 1, 2)
 

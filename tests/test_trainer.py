@@ -1,12 +1,14 @@
 """Training loop: optimizer, splits, checkpoints, determinism, resume."""
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import sampler, tgraph, trainer
+from tcgl import blobio, sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -210,7 +212,7 @@ def _same_arrays(a, b):
 ])
 def test_resume_after_crash_at_each_write_reproduces_run(tmp_path, monkeypatch, uninterrupted_run,
                                                          point, crash_epoch):
-    cfg, rows_full, best_full, csv_full, last_full = uninterrupted_run
+    cfg, rows_full, *_ = uninterrupted_run
     cfg = replace(cfg, out_dir=str(tmp_path))
     real_metrics, real_save = trainer.write_metrics, trainer.save_checkpoint
 
@@ -234,14 +236,104 @@ def test_resume_after_crash_at_each_write_reproduces_run(tmp_path, monkeypatch, 
         with pytest.raises(Crash):
             trainer.train(cfg, log=crashing_log)
 
-    best, rows = trainer.train(cfg, resume_from=str(tmp_path / "last"))
+    rows = _resume_and_check(cfg, uninterrupted_run)
     assert rows == rows_full[crash_epoch:]
-    assert (tmp_path / "metrics.csv").read_bytes() == csv_full
+
+
+def _resume_and_check(cfg, uninterrupted_run):
+    """Resume the crashed run under cfg.out_dir from its last/, or start it
+    again when no last/ was saved; check that its metrics.csv, best and last/
+    equal the uninterrupted run's, and return the rows it trained."""
+    _, _, best_full, csv_full, last_full = uninterrupted_run
+    out = Path(cfg.out_dir)
+    saved = (out / "last" / blobio.FILE_NAME).exists()
+    best, rows = trainer.train(cfg, resume_from=str(out / "last") if saved else None)
+    assert (out / "metrics.csv").read_bytes() == csv_full
     assert (best.epoch, best.best_val_loss) == (best_full.epoch, best_full.best_val_loss)
     _same_arrays(best, best_full)
-    last = trainer.load_checkpoint(tmp_path / "last")
+    last = trainer.load_checkpoint(out / "last")
     assert (last.epoch, last.best_val_loss) == (last_full.epoch, last_full.best_val_loss)
     _same_arrays(last, last_full)
+    return rows
+
+
+class _DiesAfterFirstWrite:
+    """A file that takes its first write (the header) and raises on the next."""
+
+    def __init__(self, fh):
+        self.fh, self.written = fh, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if self.written:
+            raise Crash
+        self.written = True
+        return self.fh.write(chunk)
+
+
+# The run saves 6 times: best/ in epochs 0 and 1, the ones that improve, and last/ in each.
+@pytest.mark.parametrize("stage", ["mid-write", "before-rename"])
+@pytest.mark.parametrize("save", range(6))
+def test_resume_after_crash_inside_a_save_reproduces_run(tmp_path, monkeypatch, uninterrupted_run,
+                                                         save, stage):
+    cfg, rows_full, *_ = uninterrupted_run
+    improving = [r for i, r in enumerate(rows_full)
+                 if all(r["val_loss"] < q["val_loss"] for q in rows_full[:i])]
+    assert len(improving) + len(rows_full) == 6
+    cfg = replace(cfg, out_dir=str(tmp_path))
+    real_open, real_replace = open, os.replace
+    opened, replaced = [], []
+
+    def crashing_open(path, mode):
+        opened.append(path)
+        fh = real_open(path, mode)
+        return _DiesAfterFirstWrite(fh) if stage == "mid-write" and len(opened) > save else fh
+
+    def crashing_replace(src, dst):
+        replaced.append(dst)
+        if stage == "before-rename" and len(replaced) > save:
+            raise Crash
+        real_replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(blobio, "open", crashing_open, raising=False)
+        patch.setattr(blobio.os, "replace", crashing_replace)
+        with pytest.raises(Crash):
+            trainer.train(cfg)
+    assert len(opened if stage == "mid-write" else replaced) == save + 1
+    assert Path(opened[-1]).exists()  # the crashed save's .tmp file
+
+    rows = _resume_and_check(cfg, uninterrupted_run)
+    assert rows == rows_full[rows[0]["epoch"]:]
+
+
+def test_resume_drops_a_partial_metrics_row(tmp_path, monkeypatch, small_dataset):
+    # The run dies after writing b"1" of epoch 10's row. Resumed from last/
+    # (epoch 9), that "1" parses as an epoch <= 9, yet must not survive.
+    cfg = small_config(str(small_dataset), epochs=11, out_dir=str(tmp_path / "full"))
+    trainer.train(cfg)
+    real_write = trainer.write_metrics
+
+    def dying_write(path, rows):
+        if rows[-1]["epoch"] == 10:
+            with open(path, "ab") as fh:
+                fh.write(b"1")
+            raise Crash
+        real_write(path, rows)
+
+    part = replace(cfg, out_dir=str(tmp_path / "part"))
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "write_metrics", dying_write)
+        with pytest.raises(Crash):
+            trainer.train(part)
+    trainer.train(part, resume_from=str(tmp_path / "part" / "last"))
+    assert ((tmp_path / "part" / "metrics.csv").read_bytes()
+            == (tmp_path / "full" / "metrics.csv").read_bytes())
 
 
 def test_resume_rejects_different_config(tmp_path, small_dataset):
