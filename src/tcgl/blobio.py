@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -23,6 +24,7 @@ FILE_NAME = "arrays.bin"
 
 _DTYPES = ("<f4", "<f8")
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
 def save_arrays(dir_path, arrays, meta=None):
@@ -52,7 +54,8 @@ def save_arrays(dir_path, arrays, meta=None):
 
 
 def load_arrays(dir_path):
-    """Read back (arrays, meta); raises on checksum, version, dtype or length problems."""
+    """Read back (arrays, meta); raises ValueError on a bad checksum, version,
+    dtype or header key, or entries that do not tile the bytes before the digest."""
     path = Path(dir_path) / FILE_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no {FILE_NAME} in {dir_path}")
@@ -62,16 +65,26 @@ def load_arrays(dir_path):
         raise ValueError(f"{path}: checksum mismatch")
     start = data.index(b"\n") + 1
     header = json.loads(data[:start])
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise ValueError(f"{path}: header needs a meta object and an arrays list")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: format version {version!r} != {FORMAT_VERSION}")
-    arrays = {}
+    arrays, end = {}, 0
     for entry in header["arrays"]:
-        name, dtype, offset, length = (entry[k] for k in ("name", "dtype", "offset", "length"))
+        fields = entry if isinstance(entry, dict) else {}
+        name, dtype, shape, offset, length = map(fields.get, _ENTRY_KEYS)
         if dtype not in _DTYPES:
             raise ValueError(f"{path}: unknown dtype {dtype!r} for array {name!r}")
+        if not (isinstance(name, str) and name not in arrays and offset == end
+                and isinstance(shape, list) and all(type(d) is int and d >= 0
+                                                    for d in [offset, length, *shape])
+                and length == math.prod(shape) * np.dtype(dtype).itemsize
+                and start + end + length <= len(body)):
+            raise ValueError(f"{path}: bad name, offset, shape or length in entry {entry!r}")
         raw = body[start + offset:start + offset + length]
-        if len(raw) != length:
-            raise ValueError(f"{path}: data truncated at array {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype).reshape(entry["shape"]).copy()
+        arrays[name], end = np.frombuffer(raw, dtype).reshape(shape).copy(), offset + length
+    if start + end != len(body):
+        raise ValueError(f"{path}: array bytes end at {end}, not at the digest")
     return arrays, header["meta"]

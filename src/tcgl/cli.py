@@ -77,16 +77,12 @@ def _echo_config(config, out_dir=None):
         print(f"  {key} = {resolved[key]}")
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(out_dir) / "config.json", "w") as fh:
-            json.dump(resolved, fh, indent=1)
+        (Path(out_dir) / "config.json").write_text(json.dumps(resolved, indent=1))
 
 
 def cmd_gen_data(args):
-    config_seed = args.seed
-    if config_seed is None:
-        config_seed = int(os.environ.get("TCGL_SEED", 7))
-    sampler.generate_dataset(args.out, args.num_videos, args.num_classes,
-                             config_seed, frames=args.frames)
+    seed = int(os.environ.get("TCGL_SEED", 7)) if args.seed is None else args.seed
+    sampler.generate_dataset(args.out, args.num_videos, args.num_classes, seed, frames=args.frames)
     print(f"wrote {args.num_videos} videos ({args.num_classes} classes) to {args.out}")
     return 0
 

@@ -118,14 +118,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def lines(self):
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            line = f"[{status}] {c.name}: measured {c.measured:.3e} vs {c.threshold:.3e}"
-            if c.detail:
-                line += f" ({c.detail})"
-            out.append(line)
-        return out
+        return [f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: measured {c.measured:.3e} vs "
+                f"{c.threshold:.3e}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
 
 
 def _gradient_suite(report, rng):
@@ -153,8 +147,7 @@ def _gradient_suite(report, rng):
 
 
 def _composite_gradient_check(report):
-    err = full_loss_gradient_check(seed=3)
-    report.add("grad/full_objective", err, 1e-4)
+    report.add("grad/full_objective", full_loss_gradient_check(seed=3), 1e-4)
 
 
 def full_loss_gradient_check(seed=3, epsilon=1e-5):

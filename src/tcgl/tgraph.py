@@ -38,6 +38,17 @@ def chain_adjacency(n):
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_edges(n):
+    return np.nonzero(np.triu(chain_adjacency(n), 1))
+
+
+def _edges(adjacency):
+    """Row-major upper-triangle (rows, cols) of ``adjacency``, cached for chains."""
+    n = adjacency.shape[-1]
+    return _chain_edges(n) if adjacency is chain_adjacency(n) else np.nonzero(np.triu(adjacency, 1))
+
+
 def build_chain_graph(features):
     """Undirected chain graph over chronologically ordered node features.
 
@@ -54,7 +65,7 @@ def build_chain_graph(features):
 def coin_count(adjacency, feature_dim):
     """Coins one view of a graph draws: one per undirected edge, then one
     per feature dim."""
-    return int(np.count_nonzero(np.triu(adjacency, 1))) + feature_dim
+    return _edges(adjacency)[0].size + feature_dim
 
 
 def view_from_coins(coins, adjacency, p_r, p_m):
@@ -68,7 +79,7 @@ def view_from_coins(coins, adjacency, p_r, p_m):
     """
     if not (0.0 <= p_r <= 1.0 and 0.0 <= p_m <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_m={p_m}")
-    iu, ju = np.nonzero(np.triu(adjacency, 1))
+    iu, ju = _edges(adjacency)
     keep = coins[..., :iu.size] >= p_r
     adj = np.broadcast_to(adjacency, (*coins.shape[:-1], *adjacency.shape)).copy()
     adj[..., iu, ju] = keep

@@ -99,6 +99,28 @@ class Checkpoint:
     best_val_loss: float = float("inf")
 
 
+class FlatParams:
+    """``named`` (name -> Tensor) parameters and a copy of their ``momentum``
+    as two contiguous float64 vectors, weights (``[:decayed]``) before biases.
+    Each tensor's ``.data`` becomes a view into ``params``: writers go in place."""
+
+    def __init__(self, named, momentum):
+        biases = {k for k in named if k.rsplit(".", 1)[-1].startswith("b")}
+        order = sorted(named, key=biases.__contains__)  # stable: weights, then biases
+        ends = dict(zip(order, np.cumsum([named[k].data.size for k in order]).tolist()))
+        self.layout = {k: (ends[k] - t.data.size, ends[k], t.data.shape) for k, t in named.items()}
+        self.tensors = [named[k] for k in order]
+        self.params = np.concatenate([t.data for t in self.tensors], axis=None)
+        self.momentum = np.concatenate([momentum[k] for k in order], axis=None)
+        self.decayed = sum(named[k].data.size for k in named if k not in biases)
+        for k, view in self.views(self.params).items():
+            named[k].data = view
+
+    def views(self, vector):
+        """A flat vector's per-parameter views, in named_params() order."""
+        return {k: vector[a:b].reshape(shape) for k, (a, b, shape) in self.layout.items()}
+
+
 @dataclass
 class SampleResult:
     """Per-sample results of one batch through ``forward_sample``."""
@@ -226,20 +248,18 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     )
 
 
-def sgd_step(params, grads, state, lr, momentum, weight_decay):
-    """Classical momentum: v = mu*v + g + wd*p; p -= lr*v. Biases skip decay.
-
-    A non-finite gradient aborts the step before any parameter or momentum
-    changes."""
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
-    for name, tensor in params.items():
-        g = grads[name]
-        if weight_decay and not name.rsplit(".", 1)[-1].startswith("b"):
-            g = g + weight_decay * tensor.data
-        state[name] = momentum * state[name] + g
-        tensor.data = tensor.data - lr * state[name]
+def sgd_step(flat, grads, lr, momentum, weight_decay):
+    """Classical momentum in place on ``flat``, given the flat ``grads`` (which
+    it overwrites): v = mu*v + g + wd*p; p -= lr*v; biases skip decay. A
+    non-finite gradient aborts the step before anything changes."""
+    if not np.isfinite(grads).all():
+        bad = next(k for k, g in flat.views(grads).items() if not np.isfinite(g).all())
+        raise FloatingPointError(f"non-finite gradient for {bad!r}; step aborted")
+    if weight_decay:
+        grads[:flat.decayed] += weight_decay * flat.params[:flat.decayed]
+    flat.momentum *= momentum
+    flat.momentum += grads
+    flat.params -= lr * flat.momentum
 
 
 def split_train_val(manifest, config: TrainConfig):
@@ -290,11 +310,8 @@ def evaluate(model, config, batches):
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    arrays = {}
-    for name, arr in ckpt.params.items():
-        arrays[f"param/{name}"] = arr
-    for name, arr in ckpt.momentum.items():
-        arrays[f"momentum/{name}"] = arr
+    arrays = {**{f"param/{k}": v for k, v in ckpt.params.items()},
+              **{f"momentum/{k}": v for k, v in ckpt.momentum.items()}}
     blobio.save_arrays(path, arrays, meta={
         "kind": "checkpoint",
         "epoch": ckpt.epoch,
@@ -311,12 +328,10 @@ def load_checkpoint(path):
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     config = TrainConfig(**meta["config"]).validate()
-    params = {name[len("param/"):]: arr for name, arr in arrays.items()
-              if name.startswith("param/")}
-    momentum = {name[len("momentum/"):]: arr for name, arr in arrays.items()
-                if name.startswith("momentum/")}
-    if set(params) != set(momentum):
-        raise ValueError(f"{path}: parameter and momentum names disagree")
+    params, momentum = ({k[len(pre):]: v for k, v in arrays.items() if k.startswith(pre)}
+                        for pre in ("param/", "momentum/"))
+    if set(params) != set(momentum) or any(v.shape != momentum[k].shape for k, v in params.items()):
+        raise ValueError(f"{path}: parameter and momentum names or shapes disagree")
     return Checkpoint(params=params, momentum=momentum, epoch=int(meta["epoch"]),
                       config=config, best_val_loss=float(meta["best_val_loss"]))
 
@@ -333,15 +348,8 @@ def restore_model(ckpt: Checkpoint, channels=1):
     return model
 
 
-def _snapshot(model, momentum, epoch, config, best_val_loss):
-    """A Checkpoint holding copies of the model's parameters and momentum."""
-    return Checkpoint(params={k: t.data.copy() for k, t in model.named_params().items()},
-                      momentum={k: v.copy() for k, v in momentum.items()},
-                      epoch=epoch, config=config, best_val_loss=best_val_loss)
-
-
 def _start(config, resume_from):
-    """Everything a run needs before its first epoch: (model, momentum, the
+    """Everything a run needs before its first epoch: (model, the
     Checkpoint it continues from, per-video statistics, train and
     validation indices). A fresh run continues epoch -1, with zero momentum
     and no best validation loss; a resumed one continues ``resume_from``."""
@@ -358,34 +366,32 @@ def _start(config, resume_from):
 
     if resume_from is None:
         model = build_model(config, channels)
-        zeros = {k: np.zeros_like(t.data) for k, t in model.named_params().items()}
-        start = _snapshot(model, zeros, -1, config, float("inf"))
+        params = {k: t.data for k, t in model.named_params().items()}
+        start = Checkpoint(params, {k: np.zeros_like(v) for k, v in params.items()}, -1, config)
     else:
         start = load_checkpoint(resume_from)
         if asdict(start.config) != asdict(config):
             raise ValueError("resume checkpoint was trained with a different config")
         model = restore_model(start, channels)
-    momentum = {k: v.copy() for k, v in start.momentum.items()}
     stats = [video_statistics(v, config) for v in videos]
-    return model, momentum, start, stats, train_idx, val_idx
+    return model, start, stats, train_idx, val_idx
 
 
-def _train_epoch(model, momentum, config, stats, train_idx, epoch):
+def _train_epoch(model, flat, config, stats, train_idx, epoch):
     """One epoch of SGD over ``train_idx``; returns the means of the joint,
     graph and order losses and the order accuracy."""
     lr = config.lr * (0.1 if epoch >= config.decay_epoch() else 1.0)
     rng = _epoch_rng(config.seed, 1, epoch)
     order = rng.permutation(len(train_idx))
-    params = model.named_params()
     sums = np.zeros(3)
     correct = 0
     for batch_start in range(0, len(order), config.batch_size):
         batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
         draws = draw_batch(config, [rng] * len(batch))
         res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
-        grads = dc.grad(dc.tsum(res.loss), list(params.values()))
-        sgd_step(params, {name: g / len(batch) for name, g in zip(params, grads)},
-                 momentum, lr, config.momentum, config.weight_decay)
+        grads = np.concatenate(dc.grad(dc.tsum(res.loss), flat.tensors), axis=None)
+        grads /= len(batch)
+        sgd_step(flat, grads, lr, config.momentum, config.weight_decay)
         sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
         correct += int(res.correct.sum())
     return (*(sums / len(train_idx)), correct / len(train_idx))
@@ -413,7 +419,8 @@ def train(config: TrainConfig, resume_from=None, log=None):
     checkpoint's epoch, and when no later epoch improves the validation
     loss, the best/ beside it is returned.
     """
-    model, momentum, last, stats, train_idx, val_idx = _start(config, resume_from)
+    model, last, stats, train_idx, val_idx = _start(config, resume_from)
+    flat = FlatParams(model.named_params(), last.momentum)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -426,12 +433,12 @@ def train(config: TrainConfig, resume_from=None, log=None):
     val_batches = validation_batches(config, stats, val_idx)
     rows, best = [], None
     for epoch in range(last.epoch + 1, config.epochs):
-        train_means = _train_epoch(model, momentum, config, stats, train_idx, epoch)
+        train_means = _train_epoch(model, flat, config, stats, train_idx, epoch)
         val_loss, val_acc = evaluate(model, config, val_batches)
         rows.append(dict(zip(METRIC_FIELDS, (epoch, *train_means, val_acc, val_loss))))
         improved = val_loss < last.best_val_loss
-        last = _snapshot(model, momentum, epoch, config,
-                         val_loss if improved else last.best_val_loss)
+        last = Checkpoint(flat.views(flat.params.copy()), flat.views(flat.momentum.copy()),
+                          epoch, config, val_loss if improved else last.best_val_loss)
         best = last if improved else best
         _persist(out_dir, log, rows[-1], last, improved)
 

@@ -95,3 +95,74 @@ def test_wrong_format_version_is_rejected(arrays, version):
 def test_names_the_manifest_cannot_hold_are_rejected(tmp_path, name):
     with pytest.raises(ValueError):
         blobio.save_arrays(tmp_path / "blob", {name: np.ones(2)})
+
+
+def _redigest(path, edit):
+    """Rewrite arrays.bin's header as ``edit(header)`` under a valid digest."""
+    head, rest = _file(path).read_bytes()[:-hashlib.sha256().digest_size].split(b"\n", 1)
+    body = json.dumps(edit(json.loads(head))).encode() + b"\n" + rest
+    _file(path).write_bytes(body + hashlib.sha256(body).digest())
+
+
+# JSON values an edit may put in place of a field; no strings, so an edit
+# cannot rename an array, which only the reader of the names can refuse
+_values = st.one_of(st.integers(-16, 600), st.floats(), st.none(), st.booleans(),
+                    st.lists(st.integers(-2, 5), max_size=3), st.dictionaries(st.text(max_size=2),
+                                                                               st.integers(), max_size=1))
+
+
+def _edit(header, data):
+    entries = header["arrays"]
+    kind = data.draw(st.sampled_from(["top", "entry", "drop", "duplicate", "reverse", "whole"]))
+    if kind in ("top", "entry"):
+        target = header if kind == "top" else data.draw(st.sampled_from(entries))
+        key = data.draw(st.sampled_from(sorted(target)))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(_values | st.sampled_from(["<f4", "<f8", "<i8", "|u1", ">f8"])
+                                    if key == "dtype" else _values)
+    elif kind == "drop":
+        entries.remove(data.draw(st.sampled_from(entries)))
+    elif kind == "duplicate":
+        entries.append(dict(data.draw(st.sampled_from(entries))))
+    elif kind == "reverse":
+        entries.reverse()
+    else:
+        return data.draw(st.sampled_from([list(header), list(header.values()), None, 2]))
+    return header
+
+
+@_settings
+@given(_non_empty, st.data())
+def test_redigested_header_edit_loads_the_same_arrays_or_raises(arrays, data):
+    # A shape edit that keeps the element count reads the same bytes under
+    # another shape; only the reader of the shapes (restore_model) can refuse it.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _save(arrays, tmp)
+        _redigest(path, lambda header: _edit(header, data))
+        try:
+            loaded, _ = blobio.load_arrays(path)
+        except ValueError:
+            return
+    assert list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert (loaded[name].dtype, loaded[name].tobytes()) == (arr.dtype, arr.tobytes())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    lambda h: {k: v for k, v in h.items() if k != "meta"},
+    lambda h: list(h.values()),
+    lambda h: {**h, "arrays": [{**h["arrays"][0], "offset": -8}]},
+    lambda h: {**h, "arrays": h["arrays"][:-1]},
+    lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "<i8"}, h["arrays"][1]]},
+    lambda h: {**h, "arrays": [h["arrays"][0], {**h["arrays"][1], "name": "x"}]},
+    lambda h: {**h, "arrays": [h["arrays"][0], {**h["arrays"][1], "shape": [3], "length": 24}]},
+], ids=["no-arrays", "no-meta", "list-header", "offset-minus-8", "last-entry-dropped",
+        "same-size-dtype", "duplicate-name", "past-the-digest"])
+def test_malformed_header_probes_are_rejected(tmp_path, edit):
+    path = _save({"x": np.arange(3.0), "y": np.ones(2)}, tmp_path)
+    _redigest(path, edit)
+    with pytest.raises(ValueError, match=blobio.FILE_NAME):  # a diagnostic naming the file
+        blobio.load_arrays(path)

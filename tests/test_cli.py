@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from tcgl import cli, sampler, trainer
+from tcgl import blobio, cli, sampler, trainer
 
 from conftest import small_config
 
@@ -134,6 +136,17 @@ def test_checkpoint_without_arrays_bin_exits_one(tmp_path, small_dataset, capsys
             ["train", "--data-dir", str(small_dataset), "--resume", str(old)])
     assert cli.run(argv) == 1
     assert f"no arrays.bin in {old}" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_malformed_header_exits_one(tmp_path, capsys):
+    # a list header under a valid digest
+    blobio.save_arrays(tmp_path / "ck", {"x": np.ones(2)}, meta={"kind": "checkpoint"})
+    path = tmp_path / "ck" / blobio.FILE_NAME
+    head, rest = path.read_bytes()[:-32].split(b"\n", 1)
+    body = json.dumps(list(json.loads(head).values())).encode() + b"\n" + rest
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck")]) == 1
+    assert "header" in capsys.readouterr().err
 
 
 def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):

@@ -59,13 +59,14 @@ def test_graph_loss_stable_for_extreme_temperature(proj, rng):
 
 
 def test_total_graph_loss_weighting(proj, rng):
+    # inter differs from sum(intra), so swapping alpha and beta shows
     intra = dc.Tensor([1.0, 2.0])
-    inter = dc.Tensor(3.0)
+    inter = dc.Tensor(5.0)
     assert float(contrast.total_graph_loss(intra, inter, 1.0, 1.0).data) == \
-        pytest.approx(6.0)
+        pytest.approx(8.0)
     assert float(contrast.total_graph_loss(intra, inter, 0.0, 0.0).data) == 0.0
     assert float(contrast.total_graph_loss(intra, inter, 2.0, 0.5).data) == \
-        pytest.approx(7.5)
+        pytest.approx(8.5)
 
 
 def test_graph_loss_gradient_matches_finite_differences(proj, rng):

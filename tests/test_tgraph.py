@@ -131,3 +131,22 @@ def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
     assert np.array_equal(tgraph.gcn_forward(clean, tgraph.GcnParams(w)).data,
                           np.maximum(tgraph._propagation_matrix(tgraph.chain_adjacency(n))
                                      @ x.data @ w.data, 0.0))
+
+
+def test_views_of_any_adjacency_use_its_own_edges():
+    # the cached edge list serves chain_adjacency(n) itself; an equal copy and
+    # a graph with other edges are searched as before
+    rng = np.random.default_rng(13)
+    chain, f = tgraph.chain_adjacency(4), 3
+    triangle = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
+    assert tgraph.coin_count(chain, f) == tgraph.coin_count(chain.copy(), f) == 3 + f
+    assert tgraph.coin_count(triangle, f) == 3 + f
+    coins = rng.random((6, 3 + f))
+    for adjacency in (chain.copy(), triangle):
+        adj, _ = tgraph.view_from_coins(coins, adjacency, 0.5, 0.0)
+        iu, ju = np.nonzero(np.triu(adjacency, 1))
+        assert np.array_equal(adj[:, iu, ju], coins[:, :3] >= 0.5)
+        assert np.array_equal(adj, np.swapaxes(adj, 1, 2))
+        assert not adj[:, adjacency == 0].any()
+    assert np.array_equal(tgraph.view_from_coins(coins, chain, 0.5, 0.0)[0],
+                          tgraph.view_from_coins(coins, chain.copy(), 0.5, 0.0)[0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import blobio, sampler, tgraph, trainer
+from tcgl import blobio, encoder, sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -35,8 +35,7 @@ def test_decay_epoch_semantics():
 
 def test_sgd_step_matches_hand_rolled_momentum():
     p = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    params = {"w": p}
-    state = {"w": np.zeros(2)}
+    flat = trainer.FlatParams({"w": p}, {"w": np.zeros(2)})
     g1 = np.array([0.5, 0.5])
     g2 = np.array([-1.0, 0.25])
     lr, mu, wd = 0.1, 0.9, 0.01
@@ -46,19 +45,22 @@ def test_sgd_step_matches_hand_rolled_momentum():
         ref_v = mu * ref_v + (g + wd * ref_p)
         ref_p = ref_p - lr * ref_v
 
-    trainer.sgd_step(params, {"w": g1}, state, lr, mu, wd)
-    trainer.sgd_step(params, {"w": g2}, state, lr, mu, wd)
+    trainer.sgd_step(flat, g1.copy(), lr, mu, wd)
+    trainer.sgd_step(flat, g2.copy(), lr, mu, wd)
     assert np.allclose(p.data, ref_p, atol=1e-12)
-    assert np.allclose(state["w"], ref_v, atol=1e-12)
+    assert np.allclose(flat.momentum, ref_v, atol=1e-12)
 
 
 def test_sgd_step_skips_weight_decay_for_biases():
+    # the bias comes first by name, but the flat layout puts it after the weight
     b = dc.Tensor(np.array([10.0]), requires_grad=True)
-    state = {"head.b_out": np.zeros(1)}
-    trainer.sgd_step({"head.b_out": b}, {"head.b_out": np.zeros(1)},
-                     state, 0.1, 0.0, 1.0)
+    w = dc.Tensor(np.array([10.0]), requires_grad=True)
+    flat = trainer.FlatParams({"head.b_out": b, "head.w_out": w},
+                           {"head.b_out": np.zeros(1), "head.w_out": np.zeros(1)})
+    trainer.sgd_step(flat, np.zeros(2), 0.1, 0.0, 1.0)
     # With decay active the bias would have shrunk; it must stay put.
     assert b.data[0] == pytest.approx(10.0)
+    assert w.data[0] == pytest.approx(9.0)
 
 
 def test_sgd_step_rejects_non_finite_gradients():
@@ -66,12 +68,17 @@ def test_sgd_step_rejects_non_finite_gradients():
     # have updated the first one or its momentum.
     params = {"a.weight": dc.Tensor(np.ones(2), requires_grad=True),
               "b.weight": dc.Tensor(np.ones(2), requires_grad=True)}
-    state = {"a.weight": np.full(2, 0.5), "b.weight": np.full(2, 0.25)}
-    grads = {"a.weight": np.ones(2), "b.weight": np.array([np.nan, 1.0])}
-    before = {k: (t.data.tobytes(), state[k].tobytes()) for k, t in params.items()}
-    with pytest.raises(FloatingPointError):
-        trainer.sgd_step(params, grads, state, 0.1, 0.9, 0.01)
-    assert {k: (t.data.tobytes(), state[k].tobytes()) for k, t in params.items()} == before
+    flat = trainer.FlatParams(params, {"a.weight": np.full(2, 0.5), "b.weight": np.full(2, 0.25)})
+    grads = np.concatenate([np.ones(2), [np.nan, 1.0]])
+
+    def state():
+        return {k: (t.data.tobytes(), v.tobytes())
+                for (k, t), v in zip(params.items(), flat.views(flat.momentum).values())}
+
+    before = state()
+    with pytest.raises(FloatingPointError, match="b.weight"):
+        trainer.sgd_step(flat, grads, 0.1, 0.9, 0.01)
+    assert state() == before
 
 
 def test_split_is_deterministic_partition(small_dataset):
@@ -106,6 +113,42 @@ def test_checkpoint_round_trip(tmp_path, small_dataset):
         assert np.array_equal(t.data, ckpt.params[k])
 
 
+def _saved_checkpoint(tmp_path, cfg, edit_params=None, edit_momentum=None):
+    params = {k: t.data.copy() for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    for edit, arrays in ((edit_params, params), (edit_momentum, momentum)):
+        if edit:
+            edit(arrays)
+    trainer.save_checkpoint(trainer.Checkpoint(params=params, momentum=momentum, epoch=0,
+                                               config=cfg), tmp_path / "ck")
+    return tmp_path / "ck"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("order.b_out"),
+    # the flat momentum vector would take a transposed array's values in the wrong order
+    lambda m: m.update({"order.w_out": m["order.w_out"].T.copy()}),
+], ids=["missing-name", "transposed"])
+def test_load_checkpoint_rejects_momentum_that_disagrees_with_params(tmp_path, small_dataset,
+                                                                     edit):
+    cfg = small_config(str(small_dataset))
+    path = _saved_checkpoint(tmp_path, cfg, edit_momentum=edit)
+    with pytest.raises(ValueError, match="momentum"):
+        trainer.load_checkpoint(path)
+
+
+def test_restore_model_rejects_a_transposed_weight_naming_it(tmp_path, small_dataset):
+    cfg = small_config(str(small_dataset))
+
+    def transpose(arrays):  # parameter and momentum alike, so that the checkpoint loads
+        arrays["enc_frame.weight"] = arrays["enc_frame.weight"].T.copy()
+
+    ckpt = trainer.load_checkpoint(_saved_checkpoint(tmp_path, cfg, transpose, transpose))
+    assert ckpt.params["enc_frame.weight"].shape[0] != ckpt.params["enc_frame.weight"].shape[1]
+    with pytest.raises(ValueError, match="enc_frame.weight"):
+        trainer.restore_model(ckpt)
+
+
 def test_load_checkpoint_rejects_non_checkpoint(tmp_path):
     from tcgl import blobio
     blobio.save_arrays(tmp_path / "g", {"x": np.ones(2)}, meta={"kind": "gallery"})
@@ -121,6 +164,83 @@ def test_training_is_bit_deterministic(small_dataset):
     for k in ckpt_a.params:
         assert np.array_equal(ckpt_a.params[k], ckpt_b.params[k])
         assert np.array_equal(ckpt_a.momentum[k], ckpt_b.momentum[k])
+
+
+def test_lr_decay_epoch_changes_the_trace_from_that_epoch_on(small_dataset):
+    cfg = small_config(str(small_dataset), epochs=3)
+    _, plain = trainer.train(cfg)
+    _, decayed = trainer.train(replace(cfg, lr_decay_epoch=1))
+    assert decayed[0] == plain[0]
+    for d, p in zip(decayed[1:], plain[1:]):
+        assert d["total_loss"] != p["total_loss"] and d["val_loss"] != p["val_loss"]
+
+
+def test_train_builds_the_model_once_before_any_clip_statistics(tmp_path, monkeypatch,
+                                                                small_dataset):
+    # the benchmark's set-up time ends when build_model returns, so nothing
+    # as costly as the clip statistics may run before it, fresh or resumed
+    cfg = small_config(str(small_dataset), epochs=1, out_dir=str(tmp_path))
+    real_build, real_stats = trainer.build_model, encoder.clip_statistics
+    events = []
+
+    def build(*args):
+        model = real_build(*args)
+        events.append("build")
+        return model
+
+    def stats(*args):
+        events.append("stats")
+        return real_stats(*args)
+
+    monkeypatch.setattr(trainer, "build_model", build)
+    monkeypatch.setattr(encoder, "clip_statistics", stats)
+    for resume_from in (None, str(tmp_path / "last")):
+        events.clear()
+        trainer.train(cfg, resume_from=resume_from)
+        assert events.count("build") == 1 and events[0] == "build"
+
+
+def test_parameters_alias_the_flat_vector_and_snapshots_do_not(tmp_path, monkeypatch,
+                                                               small_dataset):
+    # Fresh and resumed (from the fresh run's best/, epoch 1), every
+    # parameter's .data is a view into the flat vector before and after each
+    # step; the checkpoints a run hands out, its returned best among them,
+    # keep their bytes while training goes on.
+    cfg = small_config(str(small_dataset), epochs=4, out_dir=str(tmp_path))
+    real_flat, real_step, real_persist = trainer.FlatParams, trainer.sgd_step, trainer._persist
+    runs, steps, handed_out = [], [], []
+
+    def flat_params(named, momentum):
+        runs.append((named, real_flat(named, momentum)))
+        return runs[-1][1]
+
+    def step(flat, *args):
+        named, run_flat = runs[-1]
+        aliased = lambda: all(np.shares_memory(t.data, flat.params) for t in named.values())
+        before = flat is run_flat and aliased()
+        real_step(flat, *args)
+        steps.append(before and aliased())
+
+    def persist(out_dir, log, row, ckpt, improved):
+        handed_out.append((ckpt, _arrays_bytes(ckpt)))
+        real_persist(out_dir, log, row, ckpt, improved)
+
+    monkeypatch.setattr(trainer, "FlatParams", flat_params)
+    monkeypatch.setattr(trainer, "sgd_step", step)
+    monkeypatch.setattr(trainer, "_persist", persist)
+    best, rows = trainer.train(cfg)
+    assert best.epoch == 1 and rows[-1]["epoch"] == 3
+    assert any(ckpt is best for ckpt, _ in handed_out)
+    fresh_steps = len(steps)
+    _, rows = trainer.train(cfg, resume_from=str(tmp_path / "best"))
+    assert [r["epoch"] for r in rows] == [2, 3]
+    assert len(runs) == 2 and len(steps) == fresh_steps + fresh_steps // 2 and all(steps)
+    for ckpt, saved in handed_out:
+        assert _arrays_bytes(ckpt) == saved
+
+
+def _arrays_bytes(ckpt):
+    return [ckpt.params[k].tobytes() + ckpt.momentum[k].tobytes() for k in ckpt.params]
 
 
 class Crash(RuntimeError):
