@@ -38,8 +38,9 @@ def clip_statistics(clip):
     frame's statistics depend on that frame alone, so the statistics of a
     frame-set are the matching slice of its snippet's statistics.
     """
-    means = clip.mean(axis=(-2, -1), dtype=np.float64)
-    stds = clip.std(axis=(-2, -1), dtype=np.float64)
+    clip = np.asarray(clip, dtype=np.float64)  # cast once, not once per reduction
+    means = clip.mean(axis=(-2, -1))
+    stds = clip.std(axis=(-2, -1))
     return np.stack([means, stds], axis=-1).reshape(*clip.shape[:-4], -1)
 
 

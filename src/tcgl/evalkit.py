@@ -5,7 +5,7 @@ Monte-Carlo view statistics, determinism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,15 +14,19 @@ from . import contrast, diffcore as dc, encoder, orderhead, sampler, tgraph, tra
 
 @dataclass
 class EmbeddingGallery:
+    """Retrieval rows and labels; ``norms`` is set once, so never mutate ``embeddings``."""
+
     embeddings: np.ndarray  # (num_videos, dim)
     labels: np.ndarray      # (num_videos,) class ids
     split: str = "train"
+    norms: np.ndarray = field(init=False)  # (num_videos,), clamped to 1e-12
 
     def __post_init__(self):
         if self.embeddings.shape[0] != len(self.labels):
             raise ValueError("one label per embedding row is required")
         if not np.all(np.isfinite(self.embeddings)):
             raise ValueError("gallery embeddings must be finite")
+        self.norms = np.maximum(np.linalg.norm(self.embeddings, axis=1), 1e-12)
 
 
 def embed_video(videos, model: trainer.Model, config: trainer.TrainConfig,
@@ -60,9 +64,7 @@ def retrieve(query, gallery: EmbeddingGallery, k):
         raise ValueError(
             f"query dim {query.shape[0]} != gallery dim {gallery.embeddings.shape[1]}"
         )
-    g_norms = np.linalg.norm(gallery.embeddings, axis=1)
-    g_norms = np.where(g_norms < 1e-12, 1e-12, g_norms)
-    dists = 1.0 - (gallery.embeddings @ (query / qn)) / g_norms
+    dists = 1.0 - (gallery.embeddings @ (query / qn)) / gallery.norms
     return np.argsort(dists, kind="stable")[:k]
 
 
@@ -82,14 +84,18 @@ def retrieval_table(queries, gallery, ks=(1, 5, 10, 20, 50)):
 
 
 def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
-    """Order-prediction accuracy with per-(seed, video) deterministic draws."""
-    config = ckpt.config
+    """Order accuracy under validation's (seed, video) permutation ids, in ``batch_size``
+    chunks. Only the snippet encoder, clean inter-graph GCN and order head run: no views."""
+    config, b = ckpt.config, ckpt.config.batch_size
     model = trainer.restore_model(ckpt, videos[0].channels if videos else 1)
-    indices = range(len(videos)) if indices is None else indices
-    if len(indices) == 0:
+    indices = list(range(len(videos)) if indices is None else indices)
+    if not indices:
         raise ValueError("no videos to evaluate")
-    stats = {idx: trainer.video_statistics(videos[idx], config) for idx in indices}
-    return trainer.evaluate(model, config, trainer.validation_batches(config, stats, indices))[1]
+    ids = np.array([trainer.val_permutation_id(config.seed, i, config.n) for i in indices])
+    stats = [trainer.video_statistics(videos[i], config) for i in indices]
+    batches = [(np.stack(stats[s:s + b]), trainer.Draws(ids[s:s + b], None))
+               for s in range(0, len(indices), b)]
+    return trainer.evaluate(model, replace(config, lambda_g=0.0), batches)[1]
 
 
 # -- consolidated verification -----------------------------------------

@@ -299,7 +299,7 @@ def validation_batches(config, stats, indices):
 
 
 def evaluate(model, config, batches):
-    """Mean loss and order accuracy over ``validation_batches``."""
+    """Mean loss and order accuracy over (stats, draws) batches such as ``validation_batches``."""
     total, correct = 0.0, 0
     for batch_stats, draws in batches:
         res = forward_sample(model, config, batch_stats, draws)
@@ -324,6 +324,8 @@ def load_checkpoint(path):
     arrays, meta = blobio.load_arrays(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint directory")
+    if missing := [k for k in ("epoch", "config", "best_val_loss") if k not in meta]:
+        raise ValueError(f"{path}: checkpoint meta lacks {missing[0]!r}")
     unknown = set(meta["config"]) - CONFIG_FIELDS
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")

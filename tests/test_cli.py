@@ -138,15 +138,35 @@ def test_checkpoint_without_arrays_bin_exits_one(tmp_path, small_dataset, capsys
     assert f"no arrays.bin in {old}" in capsys.readouterr().err
 
 
+def _redigest(ckpt_dir, edit):
+    """Rewrite the checkpoint's header as ``edit(header)`` under a valid digest."""
+    path = ckpt_dir / blobio.FILE_NAME
+    head, rest = path.read_bytes()[:-32].split(b"\n", 1)
+    body = json.dumps(edit(json.loads(head))).encode() + b"\n" + rest
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def test_checkpoint_with_a_malformed_header_exits_one(tmp_path, capsys):
     # a list header under a valid digest
     blobio.save_arrays(tmp_path / "ck", {"x": np.ones(2)}, meta={"kind": "checkpoint"})
-    path = tmp_path / "ck" / blobio.FILE_NAME
-    head, rest = path.read_bytes()[:-32].split(b"\n", 1)
-    body = json.dumps(list(json.loads(head).values())).encode() + b"\n" + rest
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    _redigest(tmp_path / "ck", lambda header: list(header.values()))
     assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck")]) == 1
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["epoch", "config", "best_val_loss"])
+def test_checkpoint_meta_without_a_required_key_exits_one(tmp_path, small_dataset, capsys,
+                                                          key):
+    cfg = small_config(str(small_dataset))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    _redigest(tmp_path / "ck", lambda header: {**header, "meta": {
+        k: v for k, v in header["meta"].items() if k != key}})
+    assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck"),
+                    "--data-dir", str(small_dataset)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "ck") in err and repr(key) in err
 
 
 def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,17 @@ def test_clip_statistics_layout(clip):
     assert np.allclose(stats[1::2], stds, atol=1e-6)
 
 
+def test_clip_statistics_layout_is_frame_major_over_channels(rng):
+    # per frame [mean_c0, std_c0, mean_c1, std_c1]; a channel-major stack differs
+    clip = rng.standard_normal((4, 2, 6, 5)).astype(np.float32)
+    clip[:, 1] += 10.0
+    stats = encoder.clip_statistics(clip)
+    assert stats.shape == (encoder.pooled_dim(4, 2),)
+    frame = clip.astype(np.float64)
+    want = [s for f in range(4) for c in range(2) for s in (frame[f, c].mean(), frame[f, c].std())]
+    assert np.allclose(stats, want, rtol=0, atol=1e-12)
+
+
 def test_encode_shape_and_nonnegativity(clip, rng):
     params = _params(rng, 16, 12)
     feat = encoder.encode(encoder.clip_statistics(clip), params)

@@ -50,6 +50,28 @@ def test_retrieve_breaks_ties_by_gallery_index():
     assert list(evalkit.retrieve(np.array([1.0, 0.0]), g, 2)) == [0, 1]
 
 
+def test_retrieve_breaks_ties_among_many_rows_by_gallery_index():
+    # 60 rows at three exact distances, each tied by about 20 rows: more than
+    # the 16 below which numpy's quicksort falls back to a stable insertion sort
+    rng = np.random.default_rng(2)
+    group = rng.integers(0, 3, 60)
+    emb = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])[group] * rng.integers(1, 5, (60, 1))
+    g = evalkit.EmbeddingGallery(emb, np.zeros(60, dtype=int))
+    want = np.concatenate([np.flatnonzero(group == k) for k in range(3)])
+    assert min(np.bincount(group)) > 16
+    for k in (25, 60):
+        assert np.array_equal(evalkit.retrieve(np.array([1.0, 0.0]), g, k), want[:k])
+
+
+def test_gallery_norms_are_set_once_with_the_clamp():
+    emb = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    g = evalkit.EmbeddingGallery(emb, np.array([0, 1, 2]), split="test")
+    assert g.split == "test"
+    assert np.array_equal(g.norms, [5.0, 1e-12, 1.0])
+    # a zero row ranks last, at distance 1
+    assert list(evalkit.retrieve(np.array([1.0, 0.0]), g, 3)) == [2, 0, 1]
+
+
 def test_retrieve_input_validation():
     g = _toy_gallery()
     with pytest.raises(ValueError):
@@ -116,6 +138,38 @@ def test_eval_order_is_deterministic(small_dataset):
     b = evalkit.eval_order(ckpt, videos, indices=range(10))
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+@pytest.fixture(scope="module", params=[(1.0, 0.2, 0.1), (1.0, 0.0, 0.0), (0.0, 0.2, 0.1),
+                                        (0.0, 0.0, 0.0)], ids=lambda p: "ab%g-pr%g-pm%g" % p)
+def trained(request, small_dataset):
+    """A checkpoint trained for a few epochs, with its config, rows and data."""
+    ab, p_r, p_m = request.param
+    cfg = small_config(str(small_dataset), epochs=4, batch_size=16, alpha=ab, beta=ab,
+                       p_r=p_r, p_m=p_m)
+    ckpt, rows = trainer.train(cfg)
+    manifest, videos = sampler.load_dataset(small_dataset)
+    return cfg, ckpt, rows, manifest, videos
+
+
+@pytest.mark.parametrize("length", [1, 16, 17])
+def test_eval_order_equals_the_validation_path(trained, length):
+    # the validation path draws views and runs both graph losses; eval_order does neither
+    cfg, ckpt, _, _, videos = trained
+    idx = np.random.default_rng(0).permutation(len(videos))[:length].tolist()
+    stats = {i: trainer.video_statistics(videos[i], cfg) for i in idx}
+    want = trainer.evaluate(trainer.restore_model(ckpt), cfg,
+                            trainer.validation_batches(cfg, stats, idx))[1]
+    assert evalkit.eval_order(ckpt, videos, indices=idx) == want
+    if length == 17:  # some right, some wrong: the two paths agree on a mixed batch
+        assert 0.0 < want < 1.0
+
+
+def test_eval_order_equals_the_logged_val_acc(trained):
+    cfg, ckpt, rows, manifest, videos = trained
+    _, val_idx = trainer.split_train_val(manifest, cfg)
+    logged = next(row["val_acc"] for row in rows if row["epoch"] == ckpt.epoch)
+    assert evalkit.eval_order(ckpt, videos, indices=val_idx) == logged
 
 
 def test_view_statistics_near_nominal_rates():
