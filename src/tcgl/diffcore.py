@@ -1,13 +1,13 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Holds exactly the operations the training losses need: matmul, add,
-hadamard, concat/stack, reshape, relu, exp, log, l2_normalize, softmax,
-reductions and indexing; the one linear layer every parameterised block
-is built from (``init_linear``, ``linear``); and the fused one-node
-``graph_conv`` and ``nt_xent``. Every op accepts leading batch axes, so a
-whole minibatch of small graphs runs as stacked arrays on one tape. The
-tape is rebuilt on every forward pass (define-by-run), so its creation
-order is topological and there is no hidden state between steps.
+Holds the operations the model and its losses are built from: matmul,
+add, hadamard, concat, reshape, relu, l2_normalize, log_softmax, sum and
+indexing; the one linear layer every parameterised block is built from
+(``init_linear``, ``linear``); and the fused one-node ``graph_conv`` and
+``nt_xent``, the one contrastive loss. Every op accepts leading batch
+axes, so a whole minibatch of small graphs runs as stacked arrays on one
+tape. The tape is rebuilt on every forward pass (define-by-run), so its
+creation order is topological and there is no hidden state between steps.
 """
 
 from __future__ import annotations
@@ -222,23 +222,6 @@ def concat(tensors, axis=0):
     return Tensor(out_data, _parents=tuple(tensors), _backward=rule)
 
 
-def stack(tensors):
-    """Stack equal-shape vectors into rows of a matrix."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("stack: empty input list")
-    shapes = {t.data.shape for t in tensors}
-    if len(shapes) != 1:
-        raise ShapeError(f"stack: mixed shapes {sorted(shapes)}")
-    out_data = np.stack([t.data for t in tensors])
-
-    def rule(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, g[i])
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=rule)
-
-
 def reshape(a, shape):
     a = _as_tensor(a)
 
@@ -270,25 +253,6 @@ def relu(a):
     return Tensor(a.data * mask, _parents=(a,), _backward=rule)
 
 
-def exp(a):
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def rule(g):
-        _accumulate(a, g * out_data)
-
-    return Tensor(out_data, _parents=(a,), _backward=rule)
-
-
-def log(a):
-    a = _as_tensor(a)
-
-    def rule(g):
-        _accumulate(a, g / a.data)
-
-    return Tensor(np.log(a.data), _parents=(a,), _backward=rule)
-
-
 def tsum(a, axis=None):
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis)
@@ -300,22 +264,6 @@ def tsum(a, axis=None):
             _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
     return Tensor(out_data, _parents=(a,), _backward=rule)
-
-
-def mean(a, axis=None):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-
-    def rule(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return Tensor(a.data.mean(axis=axis), _parents=(a,), _backward=rule)
-
-
-def dot(a, b):
-    return tsum(mul(a, b))
 
 
 # Fan-in init scaled up so the lr=0.001 schedule makes progress at desk
@@ -387,19 +335,6 @@ def l2_normalize(a, axis=-1, eps=1e-12):
     return Tensor(out_data, _parents=(a,), _backward=rule)
 
 
-def softmax(a, axis=-1):
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(g):
-        gy = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - gy))
-
-    return Tensor(out_data, _parents=(a,), _backward=rule)
-
-
 def log_softmax(a, axis=-1):
     a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -426,10 +361,11 @@ def _nt_xent_constants(two_n):
     return mask, positive
 
 
-def nt_xent(p, tau):
+def nt_xent(p, tau, anchor=None):
     """NT-Xent loss of each stack ``p`` (..., 2N, D) of unit rows, as one
     tape node: the mean over anchors i of -log softmax of the positive
-    (row i + N mod 2N) among p_i . p_k / tau for every k != i in the stack."""
+    (row i + N mod 2N) among p_i . p_k / tau for every k != i in the stack,
+    or, given ``anchor``, that anchor's term alone."""
     p = _as_tensor(p)
     if p.data.ndim < 2 or p.data.shape[-2] % 2:
         raise ShapeError(f"nt_xent: need (..., 2N, D) rows, got shape {p.data.shape}")
@@ -440,12 +376,18 @@ def nt_xent(p, tau):
     top = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - top)
     total = e.sum(axis=-1)
-    out_data = (np.log(total) + top[..., 0] - (sim * positive).sum(axis=-1)).mean(axis=-1)
+    rows = np.log(total) + top[..., 0] - (sim * positive).sum(axis=-1)
+    out_data = rows.mean(axis=-1) if anchor is None else rows[..., anchor]
 
     def rule(g):
-        # d loss / d sim = (masked softmax - one-hot positive) / 2N, and
+        # d loss / d sim = (masked softmax - one-hot positive) / 2N on every
+        # row, or on row ``anchor`` alone without the 1/2N; and
         # sim = p p^T / tau sends dS to dP = (dS + dS^T) p.
-        ds = (e / total[..., None] - positive) * (g[..., None, None] / (two_n * tau))
+        if anchor is None:
+            scale = g[..., None, None] / (two_n * tau)
+        else:
+            scale = np.eye(two_n)[anchor, :, None] * (g[..., None, None] / tau)
+        ds = (e / total[..., None] - positive) * scale
         _accumulate(p, np.matmul(ds + np.swapaxes(ds, -1, -2), p.data))
 
     return Tensor(out_data, _parents=(p,), _backward=rule)

@@ -39,9 +39,9 @@ def clip_statistics(clip):
     frame-set are the matching slice of its snippet's statistics.
     """
     clip = np.asarray(clip, dtype=np.float64)  # cast once, not once per reduction
-    means = clip.mean(axis=(-2, -1))
-    stds = clip.std(axis=(-2, -1))
-    return np.stack([means, stds], axis=-1).reshape(*clip.shape[:-4], -1)
+    means = clip.mean(axis=(-2, -1), keepdims=True)
+    stds = np.sqrt(np.square(clip - means).mean(axis=(-2, -1)))  # ndarray.std's recipe, one mean
+    return np.stack([means[..., 0, 0], stds], axis=-1).reshape(*clip.shape[:-4], -1)
 
 
 def encode(stats, params: EncoderParams):

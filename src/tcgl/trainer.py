@@ -358,12 +358,6 @@ def _start(config, resume_from):
     config.validate()
     manifest, videos = sampler.load_dataset(config.data_dir)
     channels = videos[0].channels
-    min_frames = config.n * config.l + (config.n - 1) * config.p
-    for v in videos:
-        if v.frames < min_frames:
-            raise ValueError(
-                f"dataset video has {v.frames} frames, config needs {min_frames}"
-            )
     train_idx, val_idx = split_train_val(manifest, config)
 
     if resume_from is None:

@@ -169,6 +169,24 @@ def test_checkpoint_meta_without_a_required_key_exits_one(tmp_path, small_datase
     assert str(tmp_path / "ck") in err and repr(key) in err
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_retrieve_with_k_below_one_exits_one(tmp_path, small_dataset, capsys, k):
+    cfg = small_config(str(small_dataset))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    assert cli.run(["retrieve", "--ckpt", str(tmp_path / "ck"), "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert f"k={k} must lie in 1.." in captured.err and "top" not in captured.out
+
+
+def test_train_on_videos_too_short_for_the_snippets_exits_one(tmp_path, capsys):
+    sampler.generate_dataset(tmp_path / "data", num_videos=20, num_classes=2, seed=3, frames=40)
+    assert cli.run(["train", "--data-dir", str(tmp_path / "data"), "--epochs", "1"]) == 1
+    assert "video has 40 frames, sampling l=16, p=8, n=3 needs at least 64" in \
+        capsys.readouterr().err
+
+
 def test_gradcheck_exit_codes(tmp_path, capsys, monkeypatch):
     report_path = tmp_path / "report.csv"
     assert cli.run(["gradcheck", "--out", str(report_path)]) == 0

@@ -1,4 +1,4 @@
-"""Contrastive objective: projection, relation, and oracle equivalence."""
+"""Contrastive objective: projection, NT-Xent node, and oracle equivalence."""
 
 import numpy as np
 import pytest
@@ -15,22 +15,6 @@ def proj(rng):
 
 def _rows(rng, n=4, f=8):
     return dc.Tensor(rng.standard_normal((n, f)), requires_grad=True)
-
-
-def test_relation_is_cosine_of_projections(proj, rng):
-    u = dc.Tensor(rng.standard_normal(8))
-    v = dc.Tensor(rng.standard_normal(8))
-    pu = contrast.project(u, proj).data
-    pv = contrast.project(v, proj).data
-    expected = pu @ pv / (np.linalg.norm(pu) * np.linalg.norm(pv))
-    assert contrast.relation(u, v, proj).data == pytest.approx(expected, rel=1e-9)
-
-
-def test_relation_bounded(proj, rng):
-    for _ in range(20):
-        u = dc.Tensor(rng.standard_normal(8) * 10)
-        v = dc.Tensor(rng.standard_normal(8) * 10)
-        assert -1.0 - 1e-9 <= float(contrast.relation(u, v, proj).data) <= 1.0 + 1e-9
 
 
 def test_pairwise_loss_matches_bruteforce_oracle(proj, rng):
@@ -112,8 +96,9 @@ def test_graph_loss_property_matches_oracle(graphs, n, dim, tau, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(graphs=st.integers(1, 3), n=st.integers(1, 4), dim=st.integers(1, 4),
-       tau=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau, seed):
+       tau=st.floats(0.1, 2.0), anchor=st.none() | st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau, anchor, seed):
     # With an identity projection and non-negative rows the oracle's
     # projection is the identity, so it sees exactly what the node sees.
     rng = np.random.default_rng(seed)
@@ -123,12 +108,25 @@ def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau,
     rows = dc.l2_normalize(dc.Tensor(np.concatenate([u, v], axis=-2)))
     losses = dc.nt_xent(rows, tau).data
     assert losses.shape == (graphs,)
+    anchors = [dc.nt_xent(rows, tau, anchor=i).data for i in range(2 * n)]
     for g in range(graphs):
         assert abs(losses[g] - evalkit.oracle_graph_loss(u[g], v[g], tau, identity)) < 1e-10
+        for i in range(n):  # row i anchors u_i, row n + i anchors v_i
+            assert abs(anchors[i][g] - evalkit.oracle_pairwise(u[g], v[g], i, tau, identity)) < 1e-10
+            assert abs(anchors[n + i][g]
+                       - evalkit.oracle_pairwise(v[g], u[g], i, tau, identity)) < 1e-10
+        # pairwise_loss is one anchor of graph_loss's stack; (v, u) permutes
+        # that stack, which may move the last bit of a row
+        ug, vg = dc.Tensor(u[g]), dc.Tensor(v[g])
+        pairs = [contrast.pairwise_loss(a, b, i, tau, identity).data
+                 for a, b in ((ug, vg), (vg, ug)) for i in range(n)]
+        assert abs(np.mean(pairs) - contrast.graph_loss(ug, vg, tau, identity).data) < 1e-14
     # the rule holds for any rows, normalised or not
+    anchor = None if anchor is None else anchor % (2 * n)
     p = dc.Tensor(rng.standard_normal((graphs, 2 * n, dim)), requires_grad=True)
     probe = rng.standard_normal(graphs)
-    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.nt_xent(t, tau), probe)), [p]) < 1e-6
+    assert dc.finite_diff_check(
+        lambda t: dc.tsum(dc.mul(dc.nt_xent(t, tau, anchor), probe)), [p]) < 1e-6
 
 
 def test_nt_xent_rejects_an_odd_row_count():

@@ -76,6 +76,9 @@ def test_retrieve_input_validation():
     g = _toy_gallery()
     with pytest.raises(ValueError):
         evalkit.retrieve(np.array([1.0, 0.0]), g, 6)
+    for k in (0, -1):  # a slice [:k] would answer with no rows, or with n - 1
+        with pytest.raises(ValueError, match="must lie in 1..5"):
+            evalkit.retrieve(np.array([1.0, 0.0]), g, k)
     with pytest.raises(ValueError):
         evalkit.retrieve(np.zeros(2), g, 1)
     with pytest.raises(ValueError):

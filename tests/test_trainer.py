@@ -200,6 +200,14 @@ def test_train_builds_the_model_once_before_any_clip_statistics(tmp_path, monkey
         assert events.count("build") == 1 and events[0] == "build"
 
 
+def test_train_refuses_videos_too_short_for_the_snippets(tmp_path):
+    # n * l + (n - 1) * p = 64 frames for the default n, l, p
+    sampler.generate_dataset(tmp_path / "data", num_videos=20, num_classes=2, seed=3, frames=40)
+    cfg = small_config(str(tmp_path / "data"), epochs=1)
+    with pytest.raises(ValueError, match="video has 40 frames, .* needs at least 64"):
+        trainer.train(cfg)
+
+
 def test_parameters_alias_the_flat_vector_and_snapshots_do_not(tmp_path, monkeypatch,
                                                                small_dataset):
     # Fresh and resumed (from the fresh run's best/, epoch 1), every
