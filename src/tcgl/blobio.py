@@ -21,16 +21,19 @@ import numpy as np
 
 FORMAT_VERSION = 2
 FILE_NAME = "arrays.bin"
+TMP_NAME = f"{FILE_NAME}.tmp"
 
 _DTYPES = ("<f4", "<f8")
 _DIGEST_SIZE = hashlib.sha256().digest_size
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
-def save_arrays(dir_path, arrays, meta=None):
-    """Write named arrays plus metadata into ``dir_path``/arrays.bin."""
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
+class Encoded(tuple):
+    """arrays.bin as the chunks a save writes: header line, arrays (uncopied), sha256."""
+
+
+def encode(arrays, meta=None):
+    """Encode named arrays plus metadata once, for any number of saves."""
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
     arrs, offset = [], 0
     for name, arr in arrays.items():
@@ -43,14 +46,28 @@ def save_arrays(dir_path, arrays, meta=None):
                                  "offset": offset, "length": arr.nbytes})
         arrs.append(arr)
         offset += arr.nbytes
+    chunks = [json.dumps(header).encode() + b"\n", *arrs]
     digest = hashlib.sha256()
-    tmp = out / f"{FILE_NAME}.tmp"
-    with open(tmp, "wb") as fh:  # arrays go out from their own buffers, uncopied
-        for chunk in [json.dumps(header).encode() + b"\n", *arrs]:
-            digest.update(chunk)
+    for chunk in chunks:
+        digest.update(chunk)
+    return Encoded([*chunks, digest.digest()])
+
+
+def save_arrays(dir_path, arrays, meta=None):
+    """Write named arrays plus metadata, or ``encode``'s chunks, into ``dir_path``/arrays.bin."""
+    out = Path(dir_path)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / TMP_NAME, "wb") as fh:
+        for chunk in arrays if isinstance(arrays, Encoded) else encode(arrays, meta):
             fh.write(chunk)
-        fh.write(digest.digest())
-    os.replace(tmp, out / FILE_NAME)
+    os.replace(out / TMP_NAME, out / FILE_NAME)
+
+
+def holds_no_save(dir_path):
+    """Whether ``dir_path`` is a directory that no save has finished in: empty,
+    or holding only the arrays.bin.tmp of a save that died."""
+    path = Path(dir_path)
+    return path.is_dir() and {p.name for p in path.iterdir()} <= {TMP_NAME}
 
 
 def load_arrays(dir_path):

@@ -239,6 +239,9 @@ def read_video(path):
 def generate_dataset(out_dir, num_videos, num_classes, seed, frames=64,
                      channels=1, height=16, width=16):
     """Write a dataset directory: one video file per entry plus a manifest."""
+    if num_videos < 1 or num_classes < 1:
+        raise ValueError(f"a dataset needs at least one video and one class, got "
+                         f"num_videos={num_videos}, num_classes={num_classes}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -262,6 +265,8 @@ def load_dataset(data_dir):
         raise FileNotFoundError(f"no manifest.json in {data}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not manifest["videos"]:
+        raise ValueError(f"{manifest_path} lists no videos")
     videos = []
     for entry in manifest["videos"]:
         video = read_video(data / entry["file"])

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,15 @@ class Checkpoint:
     config: TrainConfig
     best_val_loss: float = float("inf")
 
+    @cached_property
+    def encoded(self):
+        """This checkpoint's arrays.bin, encoded at its first save for every save."""
+        arrays = {**{f"param/{k}": v for k, v in self.params.items()},
+                  **{f"momentum/{k}": v for k, v in self.momentum.items()}}
+        return blobio.encode(arrays, meta={"kind": "checkpoint", "epoch": self.epoch,
+                                           "best_val_loss": self.best_val_loss,
+                                           "config": asdict(self.config)})
+
 
 class FlatParams:
     """``named`` (name -> Tensor) parameters and a copy of their ``momentum``
@@ -134,8 +145,8 @@ class SampleResult:
 @dataclass
 class Draws:
     """A batch's randomness: permutation ids and the drawn view-1
-    (adjacency, feature mask) pairs of its inter graphs and, when the intra
-    branch runs, its intra graphs."""
+    (adjacency, feature mask) pairs of its inter and intra graphs, each
+    None when its branch does not run."""
 
     perm_ids: np.ndarray  # (B,)
     inter: tuple          # ((B, n, n), (B, 1, F))
@@ -186,7 +197,8 @@ def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
     shares a stream): its permutation id unless ``permutation_ids`` gives
     it, then, in one call, the coins of its inter graph's view 1 and, when
     the intra branch runs, of each snippet's intra graph's view 1. With
-    p_r = p_m = 0 no coins are drawn, and every edge and dim is kept.
+    p_r = p_m = 0 no coins are drawn, and every edge and dim is kept. Only a
+    branch that runs gets its views built, but the inter coins are always drawn.
     """
     b, n = len(rngs), config.n
     chain_n, chain_m = tgraph.chain_adjacency(n), tgraph.chain_adjacency(config.m)
@@ -199,7 +211,8 @@ def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
                   else permutation_ids[i])
         if config.p_r != 0.0 or config.p_m != 0.0:
             coins[i] = rng.random(coins.shape[1])
-    inter = tgraph.view_from_coins(coins[:, :inter_size], chain_n, config.p_r, config.p_m)
+    inter = (tgraph.view_from_coins(coins[:, :inter_size], chain_n, config.p_r, config.p_m)
+             if _uses_inter(config) else None)
     intra = (tgraph.view_from_coins(coins[:, inter_size:].reshape(b, n, -1), chain_m,
                                     config.p_r, config.p_m) if intra_size else None)
     return Draws(perm_ids=ids, inter=inter, intra=intra)
@@ -227,14 +240,15 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """
     b, n = stats.shape[0], config.n
     feats = encoder.encode(stats, model.enc_snip)  # (B, n, F)
-    v_embed, j_inter = _graph_branch(feats, draws.inter if _uses_inter(config) else None,
-                                     model.gcn_inter, model.proj_inter, config.tau)
-    intra_losses = dc.Tensor(np.zeros((b, 0)))
-    if _uses_intra(config):
-        frame_feats = encoder.encode(stats.reshape(b, n, config.m, -1), model.enc_frame)
-        _, intra_losses = _graph_branch(frame_feats, draws.intra, model.gcn_intra,
-                                        model.proj_intra, config.tau)  # (B, n)
-    j_graph = contrast.total_graph_loss(intra_losses, j_inter, config.alpha, config.beta)
+    v_embed, j_graph = _graph_branch(feats, draws.inter, model.gcn_inter, model.proj_inter,
+                                     config.tau)  # J_g stays this zero without a graph branch
+    if _uses_inter(config) or _uses_intra(config):
+        intra_losses = dc.Tensor(np.zeros((b, 0)))
+        if _uses_intra(config):
+            frame_feats = encoder.encode(stats.reshape(b, n, config.m, -1), model.enc_frame)
+            _, intra_losses = _graph_branch(frame_feats, draws.intra, model.gcn_intra,
+                                            model.proj_intra, config.tau)  # (B, n)
+        j_graph = contrast.total_graph_loss(intra_losses, j_graph, config.alpha, config.beta)
 
     perms = sampler.permutation_table(n)[draws.perm_ids]
     shuffled = v_embed[np.arange(b)[:, None], perms]  # (B, n, F)
@@ -310,14 +324,7 @@ def evaluate(model, config, batches):
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    arrays = {**{f"param/{k}": v for k, v in ckpt.params.items()},
-              **{f"momentum/{k}": v for k, v in ckpt.momentum.items()}}
-    blobio.save_arrays(path, arrays, meta={
-        "kind": "checkpoint",
-        "epoch": ckpt.epoch,
-        "best_val_loss": ckpt.best_val_loss,
-        "config": asdict(ckpt.config),
-    })
+    blobio.save_arrays(path, ckpt.encoded)
 
 
 def load_checkpoint(path):
@@ -373,6 +380,19 @@ def _start(config, resume_from):
     return model, start, stats, train_idx, val_idx
 
 
+def _resume_source(resume_from):
+    """The checkpoint directory a resumed run continues: ``resume_from``, or,
+    when no save finished in it (a crash in its first save), the best/
+    beside it if one was saved, else None to start afresh; says which on stderr."""
+    if not blobio.holds_no_save(resume_from):
+        return resume_from  # load_checkpoint refuses a missing or damaged one
+    best = Path(resume_from).parent / "best"
+    source = best if (best / blobio.FILE_NAME).is_file() else None
+    print(f"{resume_from} holds no checkpoint; "
+          + (f"resuming from {best}" if source else "starting afresh"), file=sys.stderr)
+    return source
+
+
 def _train_epoch(model, flat, config, stats, train_idx, epoch):
     """One epoch of SGD over ``train_idx``; returns the means of the joint,
     graph and order losses and the order accuracy."""
@@ -411,15 +431,18 @@ def train(config: TrainConfig, resume_from=None, log=None):
 
     Writes metrics.csv, one row appended per epoch, plus best/ and last/
     checkpoints under out_dir when it is set. ``resume_from`` continues a
-    saved last/ checkpoint; metrics.csv keeps its complete rows up to that
-    checkpoint's epoch, and when no later epoch improves the validation
-    loss, the best/ beside it is returned.
+    saved last/ checkpoint, or the best/ beside a last/ that no save
+    finished in, or starts afresh when neither was saved; metrics.csv keeps
+    its complete rows up to that checkpoint's epoch, and when no later
+    epoch improves the validation loss, the best/ beside it is returned.
     """
+    if resume_from is not None:
+        resume_from = _resume_source(resume_from)
     model, last, stats, train_idx, val_idx = _start(config, resume_from)
     flat = FlatParams(model.named_params(), last.momentum)
     out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:  # last/ exists from here on, so a run that dies before its first save resumes
+        (out_dir / "last").mkdir(parents=True, exist_ok=True)
         path = out_dir / "metrics.csv"
         if path.exists():  # once per run: keep the header and the rows up to last's epoch
             data = path.read_bytes()  # a crash mid-row leaves a partial line; drop it

@@ -138,6 +138,55 @@ def test_checkpoint_without_arrays_bin_exits_one(tmp_path, small_dataset, capsys
     assert f"no arrays.bin in {old}" in capsys.readouterr().err
 
 
+def test_resume_from_a_last_without_a_save_continues_best_or_starts_afresh(
+        tmp_path, small_dataset, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--data-dir", str(small_dataset), "--out-dir", str(out), "--epochs", "2",
+            "--batch-size", "8", "--seed", "5", "--feature-dim", "16", "--gcn-dim", "16"]
+    assert cli.run(argv) == 0
+    last, best = out / "last", out / "best"
+    # what a crash in the first last/ save leaves
+    (last / blobio.FILE_NAME).replace(last / blobio.TMP_NAME)
+    capsys.readouterr()
+    assert cli.run(argv + ["--resume", str(last)]) == 0
+    assert f"{last} holds no checkpoint; resuming from {best}" in capsys.readouterr().err
+
+    # what a crash in the first best/ save leaves: an empty last/
+    (last / blobio.TMP_NAME).unlink()
+    (best / blobio.FILE_NAME).replace(best / blobio.TMP_NAME)
+    assert cli.run(argv + ["--resume", str(last)]) == 0
+    captured = capsys.readouterr()
+    assert f"{last} holds no checkpoint; starting afresh" in captured.err
+    assert len([ln for ln in captured.out.splitlines() if ln.startswith("epoch")]) == 2
+
+    assert cli.run(argv + ["--resume", str(tmp_path / "absent")]) == 1
+    assert f"no arrays.bin in {tmp_path / 'absent'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--num-videos", "0"], ["--num-videos", "-3"],
+                                   ["--num-classes", "0"]])
+def test_gen_data_without_videos_or_classes_exits_one(tmp_path, capsys, flags):
+    out = tmp_path / "data"
+    assert cli.run(["gen-data", "--out", str(out), *flags]) == 1
+    assert "a dataset needs at least one video and one class" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "retrieve"])
+def test_empty_dataset_exits_one(tmp_path, small_dataset, capsys, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.json").write_text(json.dumps({"seed": 1, "num_classes": 1, "videos": []}))
+    cfg = small_config(str(empty))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    argv = (["train", "--data-dir", str(empty), "--epochs", "1"] if command == "train" else
+            ["retrieve", "--ckpt", str(tmp_path / "ck")])
+    assert cli.run(argv) == 1
+    assert f"{empty / 'manifest.json'} lists no videos" in capsys.readouterr().err
+
+
 def _redigest(ckpt_dir, edit):
     """Rewrite the checkpoint's header as ``edit(header)`` under a valid digest."""
     path = ckpt_dir / blobio.FILE_NAME

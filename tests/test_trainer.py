@@ -369,13 +369,12 @@ def test_resume_after_crash_at_each_write_reproduces_run(tmp_path, monkeypatch, 
 
 
 def _resume_and_check(cfg, uninterrupted_run):
-    """Resume the crashed run under cfg.out_dir from its last/, or start it
-    again when no last/ was saved; check that its metrics.csv, best and last/
-    equal the uninterrupted run's, and return the rows it trained."""
+    """Resume the crashed run under cfg.out_dir from its last/; check that
+    its metrics.csv, best and last/ equal the uninterrupted run's, and
+    return the rows it trained."""
     _, _, best_full, csv_full, last_full = uninterrupted_run
     out = Path(cfg.out_dir)
-    saved = (out / "last" / blobio.FILE_NAME).exists()
-    best, rows = trainer.train(cfg, resume_from=str(out / "last") if saved else None)
+    best, rows = trainer.train(cfg, resume_from=str(out / "last"))
     assert (out / "metrics.csv").read_bytes() == csv_full
     assert (best.epoch, best.best_val_loss) == (best_full.epoch, best_full.best_val_loss)
     _same_arrays(best, best_full)
@@ -438,6 +437,23 @@ def test_resume_after_crash_inside_a_save_reproduces_run(tmp_path, monkeypatch, 
 
     rows = _resume_and_check(cfg, uninterrupted_run)
     assert rows == rows_full[rows[0]["epoch"]:]
+
+
+def test_an_epoch_encodes_its_checkpoint_once_for_best_and_last(tmp_path, monkeypatch,
+                                                                small_dataset):
+    real_encode, encoded = blobio.encode, []
+
+    def counting_encode(arrays, meta=None):
+        encoded.append(meta["epoch"])
+        return real_encode(arrays, meta)
+
+    monkeypatch.setattr(blobio, "encode", counting_encode)
+    # both epochs improve the validation loss, so each saves best/ and last/
+    best, rows = trainer.train(small_config(str(small_dataset), out_dir=str(tmp_path)))
+    assert best.epoch == rows[-1]["epoch"] == 1
+    assert encoded == [0, 1]
+    assert ((tmp_path / "best" / blobio.FILE_NAME).read_bytes()
+            == (tmp_path / "last" / blobio.FILE_NAME).read_bytes())
 
 
 def test_resume_drops_a_partial_metrics_row(tmp_path, monkeypatch, small_dataset):
@@ -508,7 +524,10 @@ def _sample_losses_and_grads(model, config, stats, draws):
 def test_draw_batch_matches_generate_view(alpha, p_r, p_m):
     cfg = small_config("", alpha=alpha, beta=alpha, p_r=p_r, p_m=p_m)
     n, m, f = cfg.n, cfg.m, cfg.feature_dim
-    draws = trainer.draw_batch(cfg, [np.random.default_rng(3)] * 5)
+    batch_rng = np.random.default_rng(3)
+    draws = trainer.draw_batch(cfg, [batch_rng] * 5)
+    if alpha == 0.0:  # no graph branch runs, so no view is built
+        assert draws.inter is None and draws.intra is None
 
     # per sample: the permutation id, the inter view, then each snippet's intra view
     rng = np.random.default_rng(3)
@@ -517,21 +536,18 @@ def test_draw_batch_matches_generate_view(alpha, p_r, p_m):
     for i in range(5):
         assert draws.perm_ids[i] == rng.integers(sampler.num_permutations(n))
         view = tgraph.generate_view(inter, p_r, p_m, rng)
+        if alpha == 0.0:
+            continue
         adj, mask = draws.inter[0][i], draws.inter[1][i]
         assert np.array_equal(adj, view.adjacency)
         assert np.array_equal(np.broadcast_to(mask, (n, f)), view.features.data)
-        if alpha == 0.0:
-            assert draws.intra is None
-            continue
         for j in range(n):
             view = tgraph.generate_view(intra, p_r, p_m, rng)
             adj, mask = draws.intra[0][i, j], draws.intra[1][i, j]
             assert np.array_equal(adj, view.adjacency)
             assert np.array_equal(np.broadcast_to(mask, (m, f)), view.features.data)
     # both consumed the same stream
-    follow = np.random.default_rng(3)
-    trainer.draw_batch(cfg, [follow] * 5)
-    assert follow.random() == rng.random()
+    assert batch_rng.random() == rng.random()
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
