@@ -131,15 +131,19 @@ def backward(loss):
             node.grad = None
 
 
-def grad(loss, leaves):
-    """Gradient of ``loss`` for each leaf; zeros for leaves off the loss path."""
+def grad(loss, leaves, out=None):
+    """Gradient of ``loss`` for each leaf; zeros for leaves off the loss path.
+    With ``out``, one array per leaf (such as views into one flat buffer), the
+    gradients are written into it in place and ``out`` is returned."""
     for leaf in leaves:
         leaf.grad = None
     backward(loss)
-    return [
-        leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        for leaf in leaves
-    ]
+    if out is None:
+        return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+                for leaf in leaves]
+    for leaf, dest in zip(leaves, out):
+        dest[...] = 0.0 if leaf.grad is None else leaf.grad
+    return out
 
 
 # -- primitive operations ----------------------------------------------

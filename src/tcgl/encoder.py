@@ -34,14 +34,20 @@ def pooled_dim(clip_frames, channels):
 def clip_statistics(clip):
     """Per-frame per-channel spatial mean and std, frame-major order.
 
-    ``clip`` is (..., frames, c, h, w); leading axes are batch axes. Each
-    frame's statistics depend on that frame alone, so the statistics of a
-    frame-set are the matching slice of its snippet's statistics.
+    ``clip`` is (..., frames, c, h, w), an array or a list of equal clips;
+    leading axes are batch axes. Each frame's statistics depend on that
+    frame alone, so the statistics of a frame-set are the matching slice of
+    its snippet's statistics. ``clip`` itself is never modified.
     """
-    clip = np.asarray(clip, dtype=np.float64)  # cast once, not once per reduction
-    means = clip.mean(axis=(-2, -1), keepdims=True)
-    stds = np.sqrt(np.square(clip - means).mean(axis=(-2, -1)))  # ndarray.std's recipe, one mean
-    return np.stack([means[..., 0, 0], stds], axis=-1).reshape(*clip.shape[:-4], -1)
+    clip = np.array(clip, dtype=np.float64)  # one owned copy: stack and cast in one pass
+    if clip.ndim < 4 or clip.shape[-1] * clip.shape[-2] == 0:
+        raise ValueError(f"a clip is (..., frames, c, h, w) with h * w > 0, not {clip.shape}")
+    rows = clip.reshape(-1, clip.shape[-2] * clip.shape[-1])  # one row per frame and channel
+    out = np.empty((rows.shape[0], 2))
+    np.divide(np.add.reduce(rows, axis=1), rows.shape[1], out=out[:, 0])  # ndarray.mean's recipe
+    np.square(np.subtract(rows, out[:, :1], out=rows), out=rows)
+    np.sqrt(np.divide(np.add.reduce(rows, axis=1), rows.shape[1]), out=out[:, 1])
+    return out.reshape(*clip.shape[:-4], 2 * clip.shape[-4] * clip.shape[-3])
 
 
 def encode(stats, params: EncoderParams):

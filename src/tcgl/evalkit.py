@@ -84,18 +84,18 @@ def retrieval_table(queries, gallery, ks=(1, 5, 10, 20, 50)):
 
 
 def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
-    """Order accuracy under validation's (seed, video) permutation ids, in ``batch_size``
-    chunks. Only the snippet encoder, clean inter-graph GCN and order head run: no views."""
-    config, b = ckpt.config, ckpt.config.batch_size
+    """Order accuracy under validation's (seed, video) permutation ids, in one forward
+    pass over all videos. Only the snippet encoder, clean inter-graph GCN and order head
+    run: no views."""
+    config = ckpt.config
     model = trainer.restore_model(ckpt, videos[0].channels if videos else 1)
     indices = list(range(len(videos)) if indices is None else indices)
     if not indices:
         raise ValueError("no videos to evaluate")
     ids = np.array([trainer.val_permutation_id(config.seed, i, config.n) for i in indices])
-    stats = [trainer.video_statistics(videos[i], config) for i in indices]
-    batches = [(np.stack(stats[s:s + b]), trainer.Draws(ids[s:s + b], None))
-               for s in range(0, len(indices), b)]
-    return trainer.evaluate(model, replace(config, lambda_g=0.0), batches)[1]
+    stats = np.stack([trainer.video_statistics(videos[i], config) for i in indices])
+    batch = (stats, trainer.Draws(ids, None))
+    return trainer.evaluate(model, replace(config, lambda_g=0.0), [batch])[1]
 
 
 # -- consolidated verification -----------------------------------------

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,12 +229,16 @@ def read_video(path):
         if len(raw) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
         frames, c, h, w, class_id = _HEADER.unpack(raw)
-        body = fh.read()
-    expected = frames * c * h * w * 4
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} data bytes, got {len(body)}")
-    data = np.frombuffer(body, dtype="<f4").reshape(frames, c, h, w)
-    return VideoTensor(data=data.copy(), class_id=class_id)
+        if min(frames, c, h, w) <= 0:
+            raise ValueError(f"{path}: header gives a {frames}x{c}x{h}x{w} video; "
+                             "frames, channels, height and width must be positive")
+        expected = frames * c * h * w * 4
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expected:
+            raise ValueError(f"{path}: expected {expected} data bytes, got {got}")
+        data = np.empty((frames, c, h, w), dtype="<f4")  # one allocation, no bytes to copy
+        fh.readinto(data)
+    return VideoTensor(data=data, class_id=class_id)
 
 
 def generate_dataset(out_dir, num_videos, num_classes, seed, frames=64,

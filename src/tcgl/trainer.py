@@ -113,7 +113,9 @@ class Checkpoint:
 class FlatParams:
     """``named`` (name -> Tensor) parameters and a copy of their ``momentum``
     as two contiguous float64 vectors, weights (``[:decayed]``) before biases.
-    Each tensor's ``.data`` becomes a view into ``params``: writers go in place."""
+    Each tensor's ``.data`` becomes a view into ``params``: writers go in place.
+    ``grads`` is the one flat gradient buffer, ``grad_views`` its per-tensor
+    views in ``tensors`` order."""
 
     def __init__(self, named, momentum):
         biases = {k for k in named if k.rsplit(".", 1)[-1].startswith("b")}
@@ -124,6 +126,8 @@ class FlatParams:
         self.params = np.concatenate([t.data for t in self.tensors], axis=None)
         self.momentum = np.concatenate([momentum[k] for k in order], axis=None)
         self.decayed = sum(named[k].data.size for k in named if k not in biases)
+        self.grads = np.empty_like(self.params)
+        self.grad_views = list(map(self.views(self.grads).get, order))
         for k, view in self.views(self.params).items():
             named[k].data = view
 
@@ -178,8 +182,7 @@ def video_statistics(video, config: TrainConfig):
     Snippet positions take no randomness, so a run computes these once per
     video; reshaped to (n, m, -1) they are the frame-sets' statistics.
     """
-    snippets = sampler.sample_snippets(video, config.l, config.p, config.n)
-    return encoder.clip_statistics(np.stack(snippets))
+    return encoder.clip_statistics(sampler.sample_snippets(video, config.l, config.p, config.n))
 
 
 def _uses_inter(config):
@@ -405,9 +408,9 @@ def _train_epoch(model, flat, config, stats, train_idx, epoch):
         batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
         draws = draw_batch(config, [rng] * len(batch))
         res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
-        grads = np.concatenate(dc.grad(dc.tsum(res.loss), flat.tensors), axis=None)
-        grads /= len(batch)
-        sgd_step(flat, grads, lr, config.momentum, config.weight_decay)
+        dc.grad(dc.tsum(res.loss), flat.tensors, flat.grad_views)
+        flat.grads /= len(batch)
+        sgd_step(flat, flat.grads, lr, config.momentum, config.weight_decay)
         sums += (res.loss.data.sum(), res.graph_loss.sum(), res.order_loss.sum())
         correct += int(res.correct.sum())
     return (*(sums / len(train_idx)), correct / len(train_idx))

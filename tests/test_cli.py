@@ -187,6 +187,22 @@ def test_empty_dataset_exits_one(tmp_path, small_dataset, capsys, command):
     assert f"{empty / 'manifest.json'} lists no videos" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval-order", "retrieve"])
+def test_video_with_an_empty_frame_exits_one(tmp_path, capsys, command):
+    # a header with zero-width frames is refused, not evaluated as an empty video
+    data = tmp_path / "data"
+    sampler.generate_dataset(data, num_videos=4, num_classes=2, seed=3)
+    (data / "video_00001.bin").write_bytes(sampler._HEADER.pack(64, 1, 0, 16, 1))
+    cfg = small_config(str(data))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    assert cli.run([command, "--ckpt", str(tmp_path / "ck")]) == 1
+    captured = capsys.readouterr()
+    assert f"{data / 'video_00001.bin'}: header gives a 64x1x0x16 video" in captured.err
+    assert "accuracy" not in captured.out
+
+
 def _redigest(ckpt_dir, edit):
     """Rewrite the checkpoint's header as ``edit(header)`` under a valid digest."""
     path = ckpt_dir / blobio.FILE_NAME

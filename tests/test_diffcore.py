@@ -43,6 +43,16 @@ def test_grad_returns_zeros_for_disconnected_leaf():
     assert np.array_equal(grads[1], np.zeros(()))
 
 
+def test_grad_into_out_overwrites_and_zeroes_unreached_leaves():
+    # out holds stale values, as a reused flat buffer does after a step
+    a = dc.Tensor(np.arange(3.0), requires_grad=True)
+    b = dc.Tensor(np.ones((2, 2)), requires_grad=True)
+    buffer = np.full(7, 9.0)
+    out = [buffer[:3], buffer[3:].reshape(2, 2)]
+    assert dc.grad(dc.tsum(a * a), [a, b], out) is out
+    assert np.array_equal(buffer, [0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_grad_accumulates_through_shared_subexpression():
     a = dc.Tensor(3.0, requires_grad=True)
     y = a * a + a

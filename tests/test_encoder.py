@@ -1,7 +1,11 @@
 """Clip statistics encoder: pooling, projection, and gradient fidelity."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tcgl.diffcore as dc
 from tcgl import encoder, sampler, trainer
@@ -41,6 +45,39 @@ def test_clip_statistics_layout_is_frame_major_over_channels(rng):
     frame = clip.astype(np.float64)
     want = [s for f in range(4) for c in range(2) for s in (frame[f, c].mean(), frame[f, c].std())]
     assert np.allclose(stats, want, rtol=0, atol=1e-12)
+
+
+def _two_mean_recipe(clip):
+    """The statistics as mean, then sqrt(mean(square(x - mean)))."""
+    x = np.asarray(clip, dtype=np.float64)
+    means = x.mean(axis=(-2, -1), keepdims=True)
+    stds = np.sqrt(np.square(x - means).mean(axis=(-2, -1)))
+    return np.stack([means[..., 0, 0], stds], axis=-1).reshape(*x.shape[:-4], -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_clip_statistics_property_is_the_two_mean_recipe_bit_for_bit(data, dtype, as_list):
+    # leading axes, 1-3 channels, either dtype, array or list input; the input stays as it was
+    lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
+    shape = (*lead, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+             data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20)))
+    clip = data.draw(hnp.arrays(dtype, shape, elements=st.floats(
+        -1e4, 1e4, allow_subnormal=False, width=np.finfo(dtype).bits)))
+    given_clip = list(clip) if as_list else clip
+    before = clip.copy()
+    got = encoder.clip_statistics(given_clip)
+    want = _two_mean_recipe(np.stack(given_clip) if isinstance(given_clip, list) else clip)
+    assert got.shape == want.shape == (*lead, encoder.pooled_dim(shape[-4], shape[-3]))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert clip.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (4, 16, 16), (3, 1, 0, 16)])
+def test_clip_statistics_refuses_a_malformed_clip(shape):
+    # the error names the shape: too few axes, or frames without pixels
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        encoder.clip_statistics(np.ones(shape))
 
 
 def test_encode_shape_and_nonnegativity(clip, rng):

@@ -168,6 +168,27 @@ def test_eval_order_equals_the_validation_path(trained, length):
         assert 0.0 < want < 1.0
 
 
+def test_eval_order_runs_one_forward_pass_equal_to_the_validation_path(trained, monkeypatch):
+    # 37 videos: not a multiple of batch_size 16, so the validation path ends on a short batch
+    cfg, ckpt, _, _, _ = trained
+    videos = [sampler.gen_synthetic_video(100 + i, sampler.label_for_class(i % 6))
+              for i in range(37)]
+    idx = list(range(37))
+    stats = {i: trainer.video_statistics(videos[i], cfg) for i in idx}
+    batches = trainer.validation_batches(cfg, stats, idx)
+    assert [len(draws.perm_ids) for _, draws in batches] == [16, 16, 5]
+    want = trainer.evaluate(trainer.restore_model(ckpt), cfg, batches)[1]
+    real_forward, calls = trainer.forward_sample, []
+
+    def forward(*args):
+        calls.append(args[2].shape)
+        return real_forward(*args)
+
+    monkeypatch.setattr(trainer, "forward_sample", forward)
+    assert evalkit.eval_order(ckpt, videos) == want
+    assert calls == [(37, cfg.n, encoder.pooled_dim(cfg.l, 1))]
+
+
 def test_eval_order_equals_the_logged_val_acc(trained):
     cfg, ckpt, rows, manifest, videos = trained
     _, val_idx = trainer.split_train_val(manifest, cfg)

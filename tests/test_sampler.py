@@ -1,5 +1,7 @@
 """Snippet sampling, shuffling, frame-sets, and the synthetic generator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +171,27 @@ def test_video_file_roundtrip(tmp_path):
     back = sampler.read_video(path)
     assert back.class_id == 3
     assert np.array_equal(back.data, v.data)
+
+
+@pytest.mark.parametrize("dims", [(64, 1, 0, 16), (0, 1, 16, 16), (64, -1, 16, 16),
+                                  (64, 1, 16, -2)])
+def test_read_video_refuses_non_positive_dimensions(tmp_path, dims):
+    path = tmp_path / "v.bin"
+    path.write_bytes(sampler._HEADER.pack(*dims, 0))
+    want = f"{path}: header gives a {'x'.join(map(str, dims))} video"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        sampler.read_video(path)
+
+
+@pytest.mark.parametrize("extra", [-4, 4])
+def test_read_video_refuses_a_body_of_the_wrong_length(tmp_path, extra):
+    path = tmp_path / "v.bin"
+    sampler.write_video(path, _video())
+    data = path.read_bytes()
+    path.write_bytes(data[:extra] if extra < 0 else data + bytes(extra))
+    want = f"{path}: expected {64 * 16 * 16 * 4} data bytes, got {64 * 16 * 16 * 4 + extra}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        sampler.read_video(path)
 
 
 def test_generate_and_load_dataset(tmp_path):
