@@ -5,7 +5,7 @@ Monte-Carlo view statistics, determinism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
         raise ValueError("no videos to evaluate")
     ids = np.array([trainer.val_permutation_id(config.seed, i, config.n) for i in indices])
     stats = np.stack([trainer.video_statistics(videos[i], config) for i in indices])
-    batch = (stats, trainer.Draws(ids, None))
-    return trainer.evaluate(model, replace(config, lambda_g=0.0), [batch])[1]
+    return trainer.evaluate(model, config, [(stats, trainer.Draws(ids, None))])[1]
 
 
 # -- consolidated verification -----------------------------------------

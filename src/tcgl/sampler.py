@@ -70,40 +70,21 @@ def num_permutations(n):
     return math.factorial(n)
 
 
-def permutation_from_id(permutation_id, n):
-    """The ``permutation_id``-th permutation of range(n), lexicographic."""
-    count = num_permutations(n)
-    if not 0 <= permutation_id < count:
-        raise ValueError(f"permutation_id {permutation_id} out of range [0, {count})")
-    items = list(range(n))
-    perm = []
-    k = permutation_id
-    for slot in range(n, 0, -1):
-        f = math.factorial(slot - 1)
-        perm.append(items.pop(k // f))
-        k %= f
-    return tuple(perm)
-
-
 @functools.lru_cache(maxsize=None)
 def permutation_table(n):
-    """Read-only (n!, n) array whose row k is ``permutation_from_id(k, n)``:
+    """Read-only (n!, n) array whose row k is the permutation with id k:
     itertools lists the permutations of range(n) in lexicographic order."""
     table = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
     table.flags.writeable = False
     return table
 
 
-def id_from_permutation(perm):
-    perm = tuple(perm)
-    n = len(perm)
-    items = list(range(n))
-    k = 0
-    for x in perm:
-        idx = items.index(x)
-        k += idx * math.factorial(len(items) - 1)
-        items.pop(idx)
-    return k
+def permutation_from_id(permutation_id, n):
+    """The ``permutation_id``-th permutation of range(n), lexicographic."""
+    count = num_permutations(n)
+    if not 0 <= permutation_id < count:
+        raise ValueError(f"permutation_id {permutation_id} out of range [0, {count})")
+    return tuple(permutation_table(n)[permutation_id].tolist())
 
 
 def sample_snippets(video: VideoTensor, l, p, n):
@@ -270,10 +251,16 @@ def load_dataset(data_dir):
         raise FileNotFoundError(f"no manifest.json in {data}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("videos"), list):
+        raise ValueError(f"{manifest_path} must be a JSON object whose 'videos' is a list")
     if not manifest["videos"]:
         raise ValueError(f"{manifest_path} lists no videos")
     videos = []
-    for entry in manifest["videos"]:
+    for i, entry in enumerate(manifest["videos"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and type(entry.get("class_id")) is int):
+            raise ValueError(f"{manifest_path}: video entry {i} needs a string 'file' "
+                             "and an integer 'class_id'")
         video = read_video(data / entry["file"])
         if video.class_id != entry["class_id"]:
             raise ValueError(f"{entry['file']}: class id mismatch with manifest")

@@ -38,17 +38,6 @@ def chain_adjacency(n):
     return a
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_edges(n):
-    return np.nonzero(np.triu(chain_adjacency(n), 1))
-
-
-def _edges(adjacency):
-    """Row-major upper-triangle (rows, cols) of ``adjacency``, cached for chains."""
-    n = adjacency.shape[-1]
-    return _chain_edges(n) if adjacency is chain_adjacency(n) else np.nonzero(np.triu(adjacency, 1))
-
-
 def build_chain_graph(features):
     """Undirected chain graph over chronologically ordered node features.
 
@@ -62,29 +51,29 @@ def build_chain_graph(features):
     return TemporalGraph(features=features, adjacency=chain_adjacency(features.data.shape[-2]))
 
 
-def coin_count(adjacency, feature_dim):
-    """Coins one view of a graph draws: one per undirected edge, then one
-    per feature dim."""
-    return _edges(adjacency)[0].size + feature_dim
+def coin_count(n, feature_dim):
+    """Coins one view of an n-node chain draws: one per edge (i, i + 1),
+    then one per feature dim."""
+    return n - 1 + feature_dim
 
 
-def view_from_coins(coins, adjacency, p_r, p_m):
-    """(adjacency, feature mask) of the views that uniform coins select.
+def view_from_coins(coins, n, p_r, p_m):
+    """(adjacency, feature mask) of the views of an n-node chain that
+    uniform coins select.
 
-    ``coins`` is (..., E + F), ``coin_count`` coins per view: an edge of
-    ``adjacency`` (row-major over the upper triangle) stays when its coin
-    is >= p_r, a feature dim when its coin is >= p_m. Leading axes give a
-    batch of views, (..., N, N) adjacencies and (..., 1, F) masks that
-    broadcast over each graph's nodes.
+    ``coins`` is (..., n - 1 + F), ``coin_count`` coins per view: chain
+    edge (i, i + 1) stays when coin i is >= p_r, a feature dim when its
+    coin is >= p_m. Leading axes give a batch of views, (..., n, n) int64
+    adjacencies and (..., 1, F) masks that broadcast over each graph's nodes.
     """
     if not (0.0 <= p_r <= 1.0 and 0.0 <= p_m <= 1.0):
         raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_m={p_m}")
-    iu, ju = _edges(adjacency)
-    keep = coins[..., :iu.size] >= p_r
-    adj = np.broadcast_to(adjacency, (*coins.shape[:-1], *adjacency.shape)).copy()
-    adj[..., iu, ju] = keep
-    adj[..., ju, iu] = keep
-    return adj, (coins[..., None, iu.size:] >= p_m).astype(np.float64)
+    keep = coins[..., :n - 1] >= p_r
+    idx = np.arange(n - 1)
+    adj = np.zeros((*coins.shape[:-1], n, n), dtype=np.int64)
+    adj[..., idx, idx + 1] = keep
+    adj[..., idx + 1, idx] = keep
+    return adj, (coins[..., None, n - 1:] >= p_m).astype(np.float64)
 
 
 def apply_view(g: TemporalGraph, adjacency, mask):
@@ -99,8 +88,9 @@ def generate_view(g: TemporalGraph, p_r, p_m, rng, view_index=1):
     ``view_index`` (1 or 2) names the view and changes nothing."""
     if p_r == 0.0 and p_m == 0.0:
         return g
-    coins = rng.random(coin_count(g.adjacency, g.features.data.shape[-1]))
-    return apply_view(g, *view_from_coins(coins, g.adjacency, p_r, p_m))
+    n = g.adjacency.shape[-1]
+    coins = rng.random(coin_count(n, g.features.data.shape[-1]))
+    return apply_view(g, *view_from_coins(coins, n, p_r, p_m))
 
 
 def _propagation_matrix(adjacency):

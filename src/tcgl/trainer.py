@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -47,6 +48,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("epochs", "batch_size", "n", "m", "l", "feature_dim", "gcn_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -185,14 +189,6 @@ def video_statistics(video, config: TrainConfig):
     return encoder.clip_statistics(sampler.sample_snippets(video, config.l, config.p, config.n))
 
 
-def _uses_inter(config):
-    return config.lambda_g != 0 and config.beta != 0
-
-
-def _uses_intra(config):
-    return config.lambda_g != 0 and config.alpha != 0
-
-
 def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
     """Draw a batch's randomness before its forward pass.
 
@@ -201,12 +197,13 @@ def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
     it, then, in one call, the coins of its inter graph's view 1 and, when
     the intra branch runs, of each snippet's intra graph's view 1. With
     p_r = p_m = 0 no coins are drawn, and every edge and dim is kept. Only a
-    branch that runs gets its views built, but the inter coins are always drawn.
+    branch that runs gets its views built, but the inter coins are always
+    drawn; the inter (intra) branch runs when lambda_g and beta (alpha) are nonzero.
     """
-    b, n = len(rngs), config.n
-    chain_n, chain_m = tgraph.chain_adjacency(n), tgraph.chain_adjacency(config.m)
-    inter_size = tgraph.coin_count(chain_n, config.feature_dim)
-    intra_size = tgraph.coin_count(chain_m, config.feature_dim) if _uses_intra(config) else 0
+    b, n, m = len(rngs), config.n, config.m
+    graphs = config.lambda_g != 0
+    inter_size = tgraph.coin_count(n, config.feature_dim)
+    intra_size = tgraph.coin_count(m, config.feature_dim) if graphs and config.alpha != 0 else 0
     ids = np.empty(b, dtype=np.int64)
     coins = np.zeros((b, inter_size + n * intra_size))
     for i, rng in enumerate(rngs):
@@ -214,9 +211,9 @@ def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
                   else permutation_ids[i])
         if config.p_r != 0.0 or config.p_m != 0.0:
             coins[i] = rng.random(coins.shape[1])
-    inter = (tgraph.view_from_coins(coins[:, :inter_size], chain_n, config.p_r, config.p_m)
-             if _uses_inter(config) else None)
-    intra = (tgraph.view_from_coins(coins[:, inter_size:].reshape(b, n, -1), chain_m,
+    inter = (tgraph.view_from_coins(coins[:, :inter_size], n, config.p_r, config.p_m)
+             if graphs and config.beta != 0 else None)
+    intra = (tgraph.view_from_coins(coins[:, inter_size:].reshape(b, n, -1), m,
                                     config.p_r, config.p_m) if intra_size else None)
     return Draws(perm_ids=ids, inter=inter, intra=intra)
 
@@ -239,15 +236,16 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """Per-sample losses and predictions of a batch of videos, on one tape.
 
     ``stats`` is (B, n, pooled_dim), each video's ``video_statistics``;
-    ``draws`` comes from ``draw_batch``. One video is the batch of one.
+    ``draws`` comes from ``draw_batch``. One video is the batch of one. A
+    graph branch runs exactly when ``draws`` holds its view.
     """
     b, n = stats.shape[0], config.n
     feats = encoder.encode(stats, model.enc_snip)  # (B, n, F)
     v_embed, j_graph = _graph_branch(feats, draws.inter, model.gcn_inter, model.proj_inter,
-                                     config.tau)  # J_g stays this zero without a graph branch
-    if _uses_inter(config) or _uses_intra(config):
+                                     config.tau)  # J_g stays this zero without a view
+    if draws.inter is not None or draws.intra is not None:
         intra_losses = dc.Tensor(np.zeros((b, 0)))
-        if _uses_intra(config):
+        if draws.intra is not None:
             frame_feats = encoder.encode(stats.reshape(b, n, config.m, -1), model.enc_frame)
             _, intra_losses = _graph_branch(frame_feats, draws.intra, model.gcn_intra,
                                             model.proj_intra, config.tau)  # (B, n)

@@ -187,6 +187,34 @@ def test_empty_dataset_exits_one(tmp_path, small_dataset, capsys, command):
     assert f"{empty / 'manifest.json'} lists no videos" in capsys.readouterr().err
 
 
+_NOT_A_VIDEO_LIST = "must be a JSON object whose 'videos' is a list"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({}, _NOT_A_VIDEO_LIST),
+    ([], _NOT_A_VIDEO_LIST),
+    ({"videos": "x"}, _NOT_A_VIDEO_LIST),
+    ({"videos": [{"file": "video_00000.bin", "class_id": 0}, {"class_id": 1}]}, "video entry 1"),
+    ({"videos": [{"file": "video_00000.bin"}]}, "video entry 0"),
+], ids=["empty-object", "list", "videos-not-a-list", "entry-without-file",
+        "entry-without-class-id"])
+def test_malformed_manifest_exits_one(tmp_path, capsys, manifest, message):
+    data = tmp_path / "data"
+    sampler.generate_dataset(data, num_videos=2, num_classes=2, seed=3)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.run(["train", "--data-dir", str(data), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert str(data / "manifest.json") in err and message in err
+
+
+@pytest.mark.parametrize("flag, value", [("lr", "nan"), ("tau", "nan"), ("alpha", "inf"),
+                                         ("lambda-g", "nan"), ("momentum", "inf")])
+def test_non_finite_float_flag_exits_one(small_dataset, capsys, flag, value):
+    argv = ["train", "--data-dir", str(small_dataset), "--epochs", "1", f"--{flag}", value]
+    assert cli.run(argv) == 1
+    assert f"{flag.replace('-', '_')} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval-order", "retrieve"])
 def test_video_with_an_empty_frame_exits_one(tmp_path, capsys, command):
     # a header with zero-width frames is refused, not evaluated as an empty video

@@ -68,8 +68,8 @@ def test_reversing_the_chain_reverses_the_gcn_output(batch, n, dim, seed):
     reversed_clean = tgraph.gcn_forward(tgraph.build_chain_graph(x[:, ::-1]), params).data
     assert _close(reversed_clean, clean[:, ::-1])
 
-    coins = rng.random((batch, tgraph.coin_count(tgraph.chain_adjacency(n), dim)))
-    adj, mask = tgraph.view_from_coins(coins, tgraph.chain_adjacency(n), 0.5, 0.3)
+    coins = rng.random((batch, tgraph.coin_count(n, dim)))
+    adj, mask = tgraph.view_from_coins(coins, n, 0.5, 0.3)
     view = tgraph.TemporalGraph(dc.Tensor(x * mask), adj)
     flipped = tgraph.TemporalGraph(dc.Tensor((x * mask)[:, ::-1]), adj[:, ::-1, ::-1])
     assert _close(tgraph.gcn_forward(flipped, params).data,

@@ -34,29 +34,15 @@ def test_sample_snippets_contiguous_split():
     assert np.array_equal(np.concatenate(snippets), video.data)
 
 
-def test_permutation_id_roundtrip():
-    for n in range(1, 7):
-        for pid in range(sampler.num_permutations(n)):
-            perm = sampler.permutation_from_id(pid, n)
-            assert sorted(perm) == list(range(n))
-            assert sampler.id_from_permutation(perm) == pid
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
-def test_permutation_property_tuple_roundtrip(perm):
-    n = len(perm)
-    pid = sampler.id_from_permutation(perm)
-    assert 0 <= pid < sampler.num_permutations(n)
-    assert sampler.permutation_from_id(pid, n) == tuple(perm)
-
-
 def test_permutation_table_rows_are_permutation_ids():
+    # every permutation of range(n) once, in strictly increasing lexicographic order
     for n in range(1, 7):
         table = sampler.permutation_table(n)
+        rows = [tuple(row) for row in table.tolist()]
         assert table.shape == (sampler.num_permutations(n), n)
-        for k, row in enumerate(table):
-            assert tuple(row) == sampler.permutation_from_id(k, n)
+        assert all(sorted(row) == list(range(n)) for row in rows)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert all(sampler.permutation_from_id(k, n) == row for k, row in enumerate(rows))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 1

@@ -116,8 +116,8 @@ def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
     # each graph of the batch has its own drawn (B, N, N) adjacency
     rng = np.random.default_rng(12)
     b, n, f = 3, 5, 4
-    coins = rng.random((b, tgraph.coin_count(tgraph.chain_adjacency(n), f)))
-    adj, mask = tgraph.view_from_coins(coins, tgraph.chain_adjacency(n), 0.4, 0.2)
+    coins = rng.random((b, tgraph.coin_count(n, f)))
+    adj, mask = tgraph.view_from_coins(coins, n, 0.4, 0.2)
     x = dc.Tensor(rng.standard_normal((b, n, f)), requires_grad=True)
     w = dc.init_linear(rng, f, 3, bias=False)
     probe = rng.standard_normal((b, n, 3))
@@ -133,20 +133,18 @@ def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
                                      @ x.data @ w.data, 0.0))
 
 
-def test_views_of_any_adjacency_use_its_own_edges():
-    # the cached edge list serves chain_adjacency(n) itself; an equal copy and
-    # a graph with other edges are searched as before
-    rng = np.random.default_rng(13)
-    chain, f = tgraph.chain_adjacency(4), 3
-    triangle = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    assert tgraph.coin_count(chain, f) == tgraph.coin_count(chain.copy(), f) == 3 + f
-    assert tgraph.coin_count(triangle, f) == 3 + f
-    coins = rng.random((6, 3 + f))
-    for adjacency in (chain.copy(), triangle):
-        adj, _ = tgraph.view_from_coins(coins, adjacency, 0.5, 0.0)
-        iu, ju = np.nonzero(np.triu(adjacency, 1))
-        assert np.array_equal(adj[:, iu, ju], coins[:, :3] >= 0.5)
-        assert np.array_equal(adj, np.swapaxes(adj, 1, 2))
-        assert not adj[:, adjacency == 0].any()
-    assert np.array_equal(tgraph.view_from_coins(coins, chain, 0.5, 0.0)[0],
-                          tgraph.view_from_coins(coins, chain.copy(), 0.5, 0.0)[0])
+@pytest.mark.parametrize("batch", [(5,), (2, 3)], ids=["one-axis", "two-axes"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_view_from_coins_keeps_the_chain_edges_its_coins_select(n, batch):
+    # reference: the chain's own upper-triangle edges, row-major, one coin each
+    rng = np.random.default_rng(n)
+    f, chain = 3, tgraph.chain_adjacency(n)
+    assert tgraph.coin_count(n, f) == n - 1 + f
+    coins = rng.random((*batch, n - 1 + f))
+    adj, mask = tgraph.view_from_coins(coins, n, 0.5, 0.4)
+    iu, ju = np.nonzero(np.triu(chain, 1))
+    want = np.zeros((*batch, n, n), dtype=np.int64)
+    want[..., iu, ju] = want[..., ju, iu] = coins[..., :iu.size] >= 0.5
+    assert adj.dtype == np.int64 and np.array_equal(adj, want)
+    assert mask.shape == (*batch, 1, f)
+    assert np.array_equal(mask, (coins[..., None, iu.size:] >= 0.4).astype(np.float64))

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from tcgl import sampler, trainer
+
 from conftest import small_config
 
 _spec = importlib.util.spec_from_file_location(
@@ -20,3 +22,17 @@ def test_digest_matches_an_identical_run_and_not_a_changed_lr(tmp_path, small_da
     assert digest("b") == first  # another out_dir, so the checkpoint meta differs
     assert digest("c", lr=0.002) != first
 
+
+
+def test_eval_digest_matches_identical_inputs_and_not_another_seeds_checkpoint(tmp_path):
+    data = tmp_path / "data"  # enough videos that the gallery holds the top 50
+    sampler.generate_dataset(data, num_videos=120, num_classes=4, seed=2)
+
+    def digest(seed):
+        config = trainer.TrainConfig(data_dir=str(data), val_fraction=0.5, seed=seed,
+                                     feature_dim=8, gcn_dim=8).validate()
+        return trace_matrix.eval_digest(data, trace_matrix.fresh_checkpoint(config))
+
+    first = digest(7)
+    assert digest(7) == first
+    assert digest(8) != first

@@ -1,7 +1,7 @@
 """Training loop: optimizer, splits, checkpoints, determinism, resume."""
 
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,14 @@ def test_validate_rejects_bad_configs(tmp_path):
         small_config(str(tmp_path), tau=0.0).validate()
     with pytest.raises(ValueError):
         small_config(str(tmp_path), epochs=0).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [f.name for f in fields(trainer.TrainConfig)
+                                  if f.type == "float"])
+def test_validate_refuses_a_non_finite_float_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        trainer.TrainConfig(**{name: value}).validate()
 
 
 def test_decay_epoch_semantics():
@@ -134,6 +142,12 @@ def test_load_checkpoint_rejects_momentum_that_disagrees_with_params(tmp_path, s
     cfg = small_config(str(small_dataset))
     path = _saved_checkpoint(tmp_path, cfg, edit_momentum=edit)
     with pytest.raises(ValueError, match="momentum"):
+        trainer.load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_a_non_finite_config(tmp_path, small_dataset):
+    path = _saved_checkpoint(tmp_path, replace(small_config(str(small_dataset)), tau=float("nan")))
+    with pytest.raises(ValueError, match="tau must be finite"):
         trainer.load_checkpoint(path)
 
 
@@ -615,3 +629,31 @@ def test_batch_tape_size_does_not_grow(alpha, most):
     draws = trainer.draw_batch(cfg, [np.random.default_rng(1)] * 16)
     res = trainer.forward_sample(trainer.build_model(cfg), cfg, stats, draws)
     assert _tape_nodes(dc.tsum(res.loss)) <= most
+
+
+@pytest.mark.parametrize("alpha, beta, lambda_g", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.5),
+                                                   (0.0, 1.0, 1.0), (0.0, 0.0, 0.0)])
+def test_draws_without_views_encode_the_snippets_only(monkeypatch, alpha, beta, lambda_g):
+    # the drawn views switch the graph branches, whatever the config's weights
+    cfg = small_config("", alpha=alpha, beta=beta, lambda_g=lambda_g)
+    model = trainer.build_model(cfg)
+    stats = np.random.default_rng(0).random((4, cfg.n, 2 * cfg.l))
+    encoded, encode = [], encoder.encode
+    monkeypatch.setattr(encoder, "encode", lambda x, p: encoded.append(p) or encode(x, p))
+    res = trainer.forward_sample(model, cfg, stats, trainer.Draws(np.arange(4), None))
+    assert len(encoded) == 1 and encoded[0] is model.enc_snip
+    assert np.array_equal(res.graph_loss, np.zeros(4))
+
+
+def test_draws_under_alpha_zero_reach_the_inter_projection_only():
+    cfg = small_config("", alpha=0.0, beta=1.0)
+    stats = np.random.default_rng(0).random((4, cfg.n, 2 * cfg.l))
+    draws = trainer.draw_batch(cfg, [np.random.default_rng(2)] * 4)
+    assert draws.inter is not None and draws.intra is None
+    model = trainer.build_model(cfg)
+    res, grads = _sample_losses_and_grads(model, cfg, stats, draws)
+    assert all(np.any(grads[f"proj_inter.{k}"]) for k in ("w1", "b1", "w2", "b2"))
+    assert all(getattr(model.proj_intra, k).grad is None for k in ("w1", "b1", "w2", "b2"))
+    # a joint config running the same draws runs the same branches
+    joint = trainer.forward_sample(model, replace(cfg, alpha=1.0), stats, draws)
+    assert np.array_equal(joint.loss.data, res.loss.data)

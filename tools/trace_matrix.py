@@ -10,6 +10,12 @@ checkpoints. The checkpoints are hashed as loaded arrays, not as
 arrays.bin bytes: their meta holds the run's paths, which differ between
 checkouts.
 
+One more line digests the eval path on the inputs perfbench's
+eval-retrieve builds: a 1,000-video, 10-class, seed-1 dataset and a
+freshly built default-config checkpoint with val_fraction 0.5. It covers
+both galleries' embeddings and labels, the accuracy of each of the 20
+``eval_order`` chunks, and the retrieval table for k in 1, 5, 10, 20, 50.
+
 Run it on each checkout, with that checkout's src on the path, and
 compare the printed lines:
 
@@ -24,13 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from tcgl import sampler, trainer
+from tcgl import evalkit, sampler, trainer
 
 MATRIX = {
     **{f"ab{ab:g}-pr{p_r:g}-pm{p_m:g}-e3": dict(alpha=ab, beta=ab, p_r=p_r, p_m=p_m, epochs=3)
        for ab in (1.0, 0.0) for p_r, p_m in ((0.2, 0.1), (0.0, 0.0), (0.0, 0.3))},
     "default-e200": {},
 }
+
+EVAL_CHUNKS = 20  # eval_order calls per pass, as in perfbench's eval-retrieve
+EVAL_KS = (1, 5, 10, 20, 50)
 
 
 def run_digest(config):
@@ -50,6 +59,31 @@ def run_digest(config):
     return h.hexdigest()
 
 
+def fresh_checkpoint(config):
+    """A checkpoint of ``config``'s freshly built model, with zero momentum."""
+    params = {k: t.data.copy() for k, t in trainer.build_model(config).named_params().items()}
+    return trainer.Checkpoint(params=params, epoch=0, config=config,
+                              momentum={k: np.zeros_like(v) for k, v in params.items()})
+
+
+def eval_digest(data_dir, ckpt):
+    """sha256 of the eval path over ``data_dir``, as perfbench's eval-retrieve runs it."""
+    manifest, videos = sampler.load_dataset(data_dir)
+    model = trainer.restore_model(ckpt, videos[0].channels)
+    galleries = [evalkit.build_gallery([videos[i] for i in idx], model, ckpt.config)
+                 for idx in trainer.split_train_val(manifest, ckpt.config)]
+    h = hashlib.sha256()
+    for gallery in galleries:
+        h.update(gallery.embeddings.tobytes())
+        h.update(gallery.labels.tobytes())
+    accs = [evalkit.eval_order(ckpt, videos, indices=chunk.tolist())
+            for chunk in np.array_split(np.arange(len(videos)), EVAL_CHUNKS)]
+    table = evalkit.retrieval_table(galleries[1], galleries[0], EVAL_KS)
+    h.update(repr([float(a).hex() for a in accs]).encode())
+    h.update(repr([(k, float(table[k]).hex()) for k in EVAL_KS]).encode())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
@@ -58,6 +92,10 @@ def main():
             config = trainer.TrainConfig(data_dir=str(data), out_dir=str(Path(tmp) / label),
                                          seed=7, **overrides).validate()
             print(label, run_digest(config), flush=True)
+        data = Path(tmp) / "eval-data"
+        sampler.generate_dataset(data, num_videos=1000, num_classes=10, seed=1)
+        config = trainer.TrainConfig(data_dir=str(data), val_fraction=0.5).validate()
+        print("eval-retrieve-seed1", eval_digest(data, fresh_checkpoint(config)), flush=True)
 
 
 if __name__ == "__main__":
