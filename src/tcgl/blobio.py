@@ -28,12 +28,9 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
-class Encoded(tuple):
-    """arrays.bin as the chunks a save writes: header line, arrays (uncopied), sha256."""
-
-
 def encode(arrays, meta=None):
-    """Encode named arrays plus metadata once, for any number of saves."""
+    """arrays.bin of named arrays plus metadata, as the chunks ``save_arrays`` writes:
+    header line, arrays (uncopied), sha256. Encode once for any number of saves."""
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
     arrs, offset = [], 0
     for name, arr in arrays.items():
@@ -50,15 +47,15 @@ def encode(arrays, meta=None):
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    return Encoded([*chunks, digest.digest()])
+    return (*chunks, digest.digest())
 
 
-def save_arrays(dir_path, arrays, meta=None):
-    """Write named arrays plus metadata, or ``encode``'s chunks, into ``dir_path``/arrays.bin."""
+def save_arrays(dir_path, chunks):
+    """Write ``encode``'s chunks into ``dir_path``/arrays.bin."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / TMP_NAME, "wb") as fh:
-        for chunk in arrays if isinstance(arrays, Encoded) else encode(arrays, meta):
+        for chunk in chunks:
             fh.write(chunk)
     os.replace(out / TMP_NAME, out / FILE_NAME)
 

@@ -23,7 +23,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense array plus an optional gradient slot.
+    """A dense float64 array plus an optional gradient slot.
 
     Arithmetic on tensors records backward rules on the implicit tape
     (parent links); ``backward(loss)`` on a scalar loss fills ``grad`` on
@@ -34,10 +34,7 @@ class Tensor:
     _creation = itertools.count()  # stamps every tensor in creation order
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         # Constants (masks, scalars, propagation matrices) stay off the tape.
         self._parents = tuple(p for p in _parents if p.requires_grad)
@@ -91,7 +88,7 @@ def _accumulate(tensor, grad):
     if tensor.grad is None:
         # An own copy, since a rule may pass one array to several operands.
         # Every rule passes a gradient of its operand's shape.
-        tensor.grad = np.array(grad, dtype=tensor.data.dtype)
+        tensor.grad = np.array(grad, dtype=np.float64)
     else:
         tensor.grad += grad
 
@@ -132,15 +129,14 @@ def backward(loss):
 
 
 def grad(loss, leaves, out=None):
-    """Gradient of ``loss`` for each leaf; zeros for leaves off the loss path.
-    With ``out``, one array per leaf (such as views into one flat buffer), the
-    gradients are written into it in place and ``out`` is returned."""
+    """Gradient of ``loss`` for each leaf, zeros for leaves off the loss path,
+    written in place into ``out``, one array per leaf (such as views into one
+    flat buffer), or into fresh arrays when it is None; returns ``out``."""
+    if out is None:
+        out = [np.empty_like(leaf.data) for leaf in leaves]
     for leaf in leaves:
         leaf.grad = None
     backward(loss)
-    if out is None:
-        return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-                for leaf in leaves]
     for leaf, dest in zip(leaves, out):
         dest[...] = 0.0 if leaf.grad is None else leaf.grad
     return out

@@ -21,10 +21,6 @@ class EncoderParams:
     weight: dc.Tensor  # (pooled_dim, feature_dim)
     bias: dc.Tensor    # (feature_dim,)
 
-    @property
-    def pooled_dim(self):
-        return self.weight.shape[0]
-
 
 def pooled_dim(clip_frames, channels):
     """Mean and std per frame per channel, concatenated across frames."""
@@ -53,9 +49,9 @@ def clip_statistics(clip):
 def encode(stats, params: EncoderParams):
     """Feature of each clip from its ``clip_statistics`` (..., pooled_dim);
     differentiable w.r.t. params."""
-    if stats.ndim < 1 or stats.shape[-1] != params.pooled_dim:
+    if stats.ndim < 1 or stats.shape[-1] != params.weight.shape[0]:
         raise ValueError(
             f"clip statistics of shape {stats.shape} do not match an encoder "
-            f"expecting {params.pooled_dim} per clip"
+            f"expecting {params.weight.shape[0]} per clip"
         )
     return dc.relu(dc.linear(dc.Tensor(stats), params.weight, params.bias))

@@ -28,10 +28,6 @@ class OrderHeadParams:
     w_out: dc.Tensor  # (hidden, C)
     b_out: dc.Tensor  # (C,)
 
-    @property
-    def num_classes(self):
-        return self.w_out.shape[1]
-
 
 @dataclass
 class OrderPrediction:

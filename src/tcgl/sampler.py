@@ -58,12 +58,8 @@ class SnippetTuple:
     snippets: list = field(default_factory=list)
     permutation_id: int = 0
 
-    @property
-    def n(self):
-        return len(self.snippets)
-
     def permutation(self):
-        return permutation_from_id(self.permutation_id, self.n)
+        return permutation_from_id(self.permutation_id, len(self.snippets))
 
 
 def num_permutations(n):
@@ -110,12 +106,11 @@ def shuffle_tuple(snippets, permutation_id=None, rng=None):
 
 
 def split_framesets(snippet, m):
-    """Partition an l-frame snippet into m equal chronological frame-sets."""
+    """An l-frame snippet's m equal chronological frame-sets, its (m, l // m, ...) reshape."""
     l = snippet.shape[0]
     if m < 1 or l % m != 0:
         raise ValueError(f"frame-set count {m} does not divide snippet length {l}")
-    step = l // m
-    return [snippet[j * step: (j + 1) * step] for j in range(m)]
+    return snippet.reshape(m, l // m, *snippet.shape[1:])
 
 
 # -- synthetic data -----------------------------------------------------
@@ -126,13 +121,13 @@ _PERIODS = (7.0, 9.0, 10.0, 11.0, 13.0, 14.0, 15.0, 17.0, 18.0, 20.0)
 def label_for_class(class_id):
     """Deterministic motion parameters for a class id.
 
-    Each class owns a distinct oscillation period; the drift velocity is
-    the matching phase speed in cycles per frame, so distinct classes have
-    distinguishable temporal statistics.
+    Each of the ten classes owns a distinct oscillation period; the drift
+    velocity is the matching phase speed in cycles per frame, so distinct
+    classes have distinguishable temporal statistics.
     """
-    if class_id < 0:
-        raise ValueError("class_id must be non-negative")
-    period = _PERIODS[class_id % len(_PERIODS)]
+    if not 0 <= class_id < len(_PERIODS):
+        raise ValueError(f"class_id must lie in 0..{len(_PERIODS) - 1}, got {class_id}")
+    period = _PERIODS[class_id]
     return SyntheticLabel(class_id=class_id, drift=1.0 / period, period=period)
 
 
@@ -225,9 +220,9 @@ def read_video(path):
 def generate_dataset(out_dir, num_videos, num_classes, seed, frames=64,
                      channels=1, height=16, width=16):
     """Write a dataset directory: one video file per entry plus a manifest."""
-    if num_videos < 1 or num_classes < 1:
-        raise ValueError(f"a dataset needs at least one video and one class, got "
-                         f"num_videos={num_videos}, num_classes={num_classes}")
+    if num_videos < 1 or not 1 <= num_classes <= len(_PERIODS):
+        raise ValueError(f"a dataset needs at least one video and one class, and at most "
+                         f"{len(_PERIODS)} classes, got {num_videos=}, {num_classes=}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -66,8 +66,8 @@ class TrainConfig:
             raise ValueError(f"m={self.m} must divide snippet length l={self.l}")
         if self.gcn_dim % 2 != 0:
             raise ValueError(f"gcn_dim must be even for the fusion bottleneck, got {self.gcn_dim}")
-        if not 0 < self.val_fraction < 1:
-            raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if not 0 < self.val_fraction <= 0.5:
+            raise ValueError(f"val_fraction must lie in (0, 0.5], got {self.val_fraction}")
         return self
 
     def decay_epoch(self):
@@ -180,13 +180,14 @@ def build_model(config: TrainConfig, channels=1):
     )
 
 
-def video_statistics(video, config: TrainConfig):
-    """Clip statistics of the video's n snippets, (n, pooled_dim).
+def video_statistics(videos, config: TrainConfig):
+    """Clip statistics of each video's n snippets, (V, n, pooled_dim).
 
     Snippet positions take no randomness, so a run computes these once per
-    video; reshaped to (n, m, -1) they are the frame-sets' statistics.
+    video; reshaped to (V, n, m, -1) they are the frame-sets' statistics.
     """
-    return encoder.clip_statistics(sampler.sample_snippets(video, config.l, config.p, config.n))
+    snippets = (sampler.sample_snippets(v, config.l, config.p, config.n) for v in videos)
+    return np.stack([encoder.clip_statistics(s) for s in snippets])
 
 
 def draw_batch(config: TrainConfig, rngs, permutation_ids=None):
@@ -235,7 +236,7 @@ def _graph_branch(feats, view, gcn, proj, tau):
 def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
     """Per-sample losses and predictions of a batch of videos, on one tape.
 
-    ``stats`` is (B, n, pooled_dim), each video's ``video_statistics``;
+    ``stats`` is (B, n, pooled_dim), rows of ``video_statistics``;
     ``draws`` comes from ``draw_batch``. One video is the batch of one. A
     graph branch runs exactly when ``draws`` holds its view.
     """
@@ -280,7 +281,7 @@ def sgd_step(flat, grads, lr, momentum, weight_decay):
 def split_train_val(manifest, config: TrainConfig):
     """Deterministic split by seeded hash of the file name."""
     train_idx, val_idx = [], []
-    bucket_count = max(2, round(1.0 / config.val_fraction))
+    bucket_count = round(1.0 / config.val_fraction)  # at least 2: val_fraction <= 0.5
     for i, entry in enumerate(manifest["videos"]):
         digest = hashlib.sha256(f"{config.seed}:{entry['file']}".encode()).digest()
         bucket = int.from_bytes(digest[:4], "little") % bucket_count
@@ -295,12 +296,11 @@ def _epoch_rng(seed, tag, epoch):
 
 
 def val_permutation_id(seed, video_index, n):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 5, video_index)))
-    return int(rng.integers(sampler.num_permutations(n)))
+    return int(_epoch_rng(seed, 5, video_index).integers(sampler.num_permutations(n)))
 
 
 def validation_batches(config, stats, indices):
-    """(stacked ``stats``, draws) per ``batch_size`` chunk of ``indices``.
+    """(``stats`` rows, draws) per ``batch_size`` chunk of ``indices``.
     Each video draws from its own (seed, idx) generators, so the batches
     depend neither on the batching nor on the epoch: a run builds them once."""
     indices = list(indices)
@@ -309,7 +309,7 @@ def validation_batches(config, stats, indices):
         chunk = indices[start:start + config.batch_size]
         draws = draw_batch(config, [_epoch_rng(config.seed, 6, idx) for idx in chunk],
                            [val_permutation_id(config.seed, idx, config.n) for idx in chunk])
-        batches.append((np.stack([stats[idx] for idx in chunk]), draws))
+        batches.append((stats[chunk], draws))
     return batches
 
 
@@ -360,7 +360,7 @@ def restore_model(ckpt: Checkpoint, channels=1):
 
 def _start(config, resume_from):
     """Everything a run needs before its first epoch: (model, the
-    Checkpoint it continues from, per-video statistics, train and
+    Checkpoint it continues from, the videos' statistics, train and
     validation indices). A fresh run continues epoch -1, with zero momentum
     and no best validation loss; a resumed one continues ``resume_from``."""
     config.validate()
@@ -377,7 +377,7 @@ def _start(config, resume_from):
         if asdict(start.config) != asdict(config):
             raise ValueError("resume checkpoint was trained with a different config")
         model = restore_model(start, channels)
-    stats = [video_statistics(v, config) for v in videos]
+    stats = video_statistics(videos, config)
     return model, start, stats, train_idx, val_idx
 
 
@@ -399,13 +399,13 @@ def _train_epoch(model, flat, config, stats, train_idx, epoch):
     graph and order losses and the order accuracy."""
     lr = config.lr * (0.1 if epoch >= config.decay_epoch() else 1.0)
     rng = _epoch_rng(config.seed, 1, epoch)
-    order = rng.permutation(len(train_idx))
+    order = np.asarray(train_idx)[rng.permutation(len(train_idx))]
     sums = np.zeros(3)
     correct = 0
     for batch_start in range(0, len(order), config.batch_size):
-        batch = [train_idx[int(j)] for j in order[batch_start:batch_start + config.batch_size]]
+        batch = order[batch_start:batch_start + config.batch_size]
         draws = draw_batch(config, [rng] * len(batch))
-        res = forward_sample(model, config, np.stack([stats[idx] for idx in batch]), draws)
+        res = forward_sample(model, config, stats[batch], draws)
         dc.grad(dc.tsum(res.loss), flat.tensors, flat.grad_views)
         flat.grads /= len(batch)
         sgd_step(flat, flat.grads, lr, config.momentum, config.weight_decay)

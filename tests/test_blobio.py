@@ -25,7 +25,7 @@ def _arrays(min_side):
 
 def _save(arrays, tmp):
     path = Path(tmp) / "blob"
-    blobio.save_arrays(path, arrays, meta={"kind": "test"})
+    blobio.save_arrays(path, blobio.encode(arrays, meta={"kind": "test"}))
     return path
 
 
@@ -94,7 +94,7 @@ def test_wrong_format_version_is_rejected(arrays, version):
 @pytest.mark.parametrize("name", ["", "#x", "a b", "a\tb"])
 def test_names_the_manifest_cannot_hold_are_rejected(tmp_path, name):
     with pytest.raises(ValueError):
-        blobio.save_arrays(tmp_path / "blob", {name: np.ones(2)})
+        blobio.save_arrays(tmp_path / "blob", blobio.encode({name: np.ones(2)}))
 
 
 def _redigest(path, edit):

@@ -172,6 +172,19 @@ def test_gen_data_without_videos_or_classes_exits_one(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_gen_data_with_more_classes_than_the_generator_has_exits_one(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.run(["gen-data", "--out", str(out), "--num-classes", "12"]) == 1
+    assert "at most 10 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_a_val_fraction_above_one_half_exits_one(small_dataset, capsys):
+    argv = ["train", "--data-dir", str(small_dataset), "--epochs", "1", "--val-fraction", "0.9"]
+    assert cli.run(argv) == 1
+    assert "val_fraction must lie in (0, 0.5], got 0.9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "retrieve"])
 def test_empty_dataset_exits_one(tmp_path, small_dataset, capsys, command):
     empty = tmp_path / "empty"
@@ -241,7 +254,8 @@ def _redigest(ckpt_dir, edit):
 
 def test_checkpoint_with_a_malformed_header_exits_one(tmp_path, capsys):
     # a list header under a valid digest
-    blobio.save_arrays(tmp_path / "ck", {"x": np.ones(2)}, meta={"kind": "checkpoint"})
+    blobio.save_arrays(tmp_path / "ck",
+                       blobio.encode({"x": np.ones(2)}, meta={"kind": "checkpoint"}))
     _redigest(tmp_path / "ck", lambda header: list(header.values()))
     assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck")]) == 1
     assert "header" in capsys.readouterr().err

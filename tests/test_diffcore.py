@@ -53,6 +53,17 @@ def test_grad_into_out_overwrites_and_zeroes_unreached_leaves():
     assert np.array_equal(buffer, [0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def test_grad_without_out_returns_fresh_float64_arrays():
+    a = dc.Tensor(np.arange(3.0), requires_grad=True)
+    b = dc.Tensor(np.ones((2, 2)), requires_grad=True)
+    grads = dc.grad(dc.tsum(a * a), [a, b])
+    assert [g.dtype for g in grads] == [np.float64, np.float64]
+    assert np.array_equal(grads[0], [0.0, 2.0, 4.0])
+    assert np.array_equal(grads[1], np.zeros((2, 2)))
+    assert not np.shares_memory(grads[0], a.grad) and not np.shares_memory(grads[0], a.data)
+    assert not np.shares_memory(grads[1], b.data)
+
+
 def test_grad_accumulates_through_shared_subexpression():
     a = dc.Tensor(3.0, requires_grad=True)
     y = a * a + a
@@ -68,9 +79,7 @@ def test_first_gradient_is_an_own_copy():
     dc.backward(dc.tsum(x + y + x))
     assert np.array_equal(x.grad, np.full(3, 2.0))
     assert np.array_equal(y.grad, np.ones(3))
-    z = dc.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    dc.backward(dc.tsum(dc.mul(z, np.float64(2.0))))
-    assert z.grad.dtype == np.float32 and z.grad.shape == (2,)
+    assert dc.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float64
 
 
 def test_constant_operand_gets_no_gradient():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tcgl import encoder, evalkit, sampler, trainer
+import tcgl.diffcore as dc
+from tcgl import encoder, evalkit, sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -160,7 +161,7 @@ def test_eval_order_equals_the_validation_path(trained, length):
     # the validation path draws views and runs both graph losses; eval_order does neither
     cfg, ckpt, _, _, videos = trained
     idx = np.random.default_rng(0).permutation(len(videos))[:length].tolist()
-    stats = {i: trainer.video_statistics(videos[i], cfg) for i in idx}
+    stats = trainer.video_statistics(videos, cfg)
     want = trainer.evaluate(trainer.restore_model(ckpt), cfg,
                             trainer.validation_batches(cfg, stats, idx))[1]
     assert evalkit.eval_order(ckpt, videos, indices=idx) == want
@@ -173,9 +174,7 @@ def test_eval_order_runs_one_forward_pass_equal_to_the_validation_path(trained, 
     cfg, ckpt, _, _, _ = trained
     videos = [sampler.gen_synthetic_video(100 + i, sampler.label_for_class(i % 6))
               for i in range(37)]
-    idx = list(range(37))
-    stats = {i: trainer.video_statistics(videos[i], cfg) for i in idx}
-    batches = trainer.validation_batches(cfg, stats, idx)
+    batches = trainer.validation_batches(cfg, trainer.video_statistics(videos, cfg), range(37))
     assert [len(draws.perm_ids) for _, draws in batches] == [16, 16, 5]
     want = trainer.evaluate(trainer.restore_model(ckpt), cfg, batches)[1]
     real_forward, calls = trainer.forward_sample, []
@@ -194,6 +193,37 @@ def test_eval_order_equals_the_logged_val_acc(trained):
     _, val_idx = trainer.split_train_val(manifest, cfg)
     logged = next(row["val_acc"] for row in rows if row["epoch"] == ckpt.epoch)
     assert evalkit.eval_order(ckpt, videos, indices=val_idx) == logged
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_eval_order_refuses_an_index_outside_the_videos_before_restoring(monkeypatch, bad):
+    videos = [sampler.gen_synthetic_video(i, sampler.label_for_class(i)) for i in range(3)]
+    ckpt = trainer.Checkpoint(params={}, momentum={}, epoch=0, config=trainer.TrainConfig())
+
+    def restore(*args):
+        raise AssertionError("restored the model before checking the indices")
+
+    monkeypatch.setattr(trainer, "restore_model", restore)
+    with pytest.raises(ValueError, match=rf"video index {bad} lies outside range\(3\)"):
+        evalkit.eval_order(ckpt, videos, indices=[0, bad, 1])
+
+
+def _view_statistics_per_draw(p_r, p_m, draws, n, f, seed):
+    """The per-draw ``generate_view`` loop that ``view_statistics`` replaced."""
+    rng = np.random.default_rng(seed)
+    g = tgraph.build_chain_graph(dc.Tensor(rng.standard_normal((n, f))))
+    removed = masked = 0
+    for _ in range(draws):
+        view = tgraph.generate_view(g, p_r, p_m, rng)
+        removed += (n - 1) - np.triu(view.adjacency).sum()
+        masked += int((np.all(view.features.data == 0.0, axis=0)).sum())
+    return removed / ((n - 1) * draws), masked / (f * draws)
+
+
+@pytest.mark.parametrize("args", [(0.2, 0.1, 2000, 6, 32, 123), (0.5, 0.3, 777, 4, 8, 5),
+                                  (0.0, 0.0, 100, 3, 4, 1), (1.0, 1.0, 50, 2, 3, 9)])
+def test_view_statistics_equals_the_per_draw_generate_view_loop(args):
+    assert evalkit.view_statistics(*args) == _view_statistics_per_draw(*args)
 
 
 def test_view_statistics_near_nominal_rates():
@@ -220,7 +250,7 @@ def test_oracle_graph_loss_symmetrizes_pairwise(rng):
 def test_verification_report_lines_and_gating():
     report = evalkit.VerificationReport()
     report.add("small-error", 1e-6, 1e-4)
-    report.add("high-accuracy", 0.95, 0.9, larger_is_better=True)
+    report.add("at-threshold", 0.9, 0.9)
     assert report.all_passed
     report.add("too-big", 2.0, 1.0, detail="expected failure")
     assert not report.all_passed

@@ -87,6 +87,14 @@ def test_split_framesets_partition():
     assert len(singles) == 16
 
 
+def test_split_framesets_is_the_snippets_reshape_view():
+    snippet = sampler.sample_snippets(_video(), 16, 8, 3)[0]
+    sets = sampler.split_framesets(snippet, 4)
+    assert sets.shape == (4, 4, *snippet.shape[1:])
+    assert np.shares_memory(sets, snippet)
+    assert np.array_equal(sets, snippet.reshape(4, 4, *snippet.shape[1:]))
+
+
 def test_split_framesets_requires_divisibility():
     snippet = sampler.sample_snippets(_video(), 16, 8, 3)[0]
     with pytest.raises(ValueError):
@@ -148,6 +156,15 @@ def test_analytic_signal_of_a_cosine_is_its_complex_exponential():
 def test_distinct_classes_have_distinct_periods():
     periods = {sampler.label_for_class(c).period for c in range(10)}
     assert len(periods) == 10
+
+
+def test_class_ids_beyond_the_ten_periods_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="got 10"):
+        sampler.label_for_class(10)
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="num_classes=11"):
+        sampler.generate_dataset(out, num_videos=12, num_classes=11, seed=1)
+    assert not out.exists()
 
 
 def test_video_file_roundtrip(tmp_path):

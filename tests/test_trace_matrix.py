@@ -3,7 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-from tcgl import sampler, trainer
+import numpy as np
+
+from tcgl import evalkit, sampler, trainer
 
 from conftest import small_config
 
@@ -36,3 +38,15 @@ def test_eval_digest_matches_identical_inputs_and_not_another_seeds_checkpoint(t
     first = digest(7)
     assert digest(7) == first
     assert digest(8) != first
+
+
+def test_report_digest_matches_an_equal_report_and_not_a_changed_measurement():
+    def digest(measured):
+        report = evalkit.VerificationReport()
+        report.add("grad/relu", measured, 1e-4)
+        report.add("views/edge_removal_rate", 0.003, 0.02, detail="rate 0.1970 vs nominal 0.2")
+        return trace_matrix.report_digest(report)
+
+    first = digest(2.5e-9)
+    assert digest(2.5e-9) == first
+    assert digest(np.nextafter(2.5e-9, 1.0)) != first

@@ -1,7 +1,7 @@
 """Training loop: optimizer, splits, checkpoints, determinism, resume."""
 
 import os
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,32 @@ def test_validate_rejects_bad_configs(tmp_path):
 def test_validate_refuses_a_non_finite_float_naming_the_field(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         trainer.TrainConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("value", [0.51, 0.6, 0.9])
+def test_validate_refuses_a_val_fraction_above_one_half(value):
+    # k = round(1 / val_fraction) buckets: above 1/2 every value would split as 1/2 does
+    with pytest.raises(ValueError, match=rf"^val_fraction must lie in \(0, 0\.5\], got {value}"):
+        trainer.TrainConfig(val_fraction=value).validate()
+    trainer.TrainConfig(val_fraction=0.5).validate()
+
+
+def test_load_checkpoint_refuses_a_val_fraction_above_one_half(tmp_path):
+    meta = {"kind": "checkpoint", "epoch": 0, "best_val_loss": 1.0,
+            "config": asdict(trainer.TrainConfig(val_fraction=0.9))}
+    blobio.save_arrays(tmp_path / "ck", blobio.encode({}, meta=meta))
+    with pytest.raises(ValueError, match="val_fraction"):
+        trainer.load_checkpoint(tmp_path / "ck")
+
+
+def test_video_statistics_rows_equal_each_videos_clip_statistics(small_dataset):
+    cfg = small_config(str(small_dataset))
+    _, videos = sampler.load_dataset(small_dataset)
+    stats = trainer.video_statistics(videos, cfg)
+    assert stats.shape == (len(videos), cfg.n, encoder.pooled_dim(cfg.l, 1))
+    for row, video in zip(stats, videos):
+        want = encoder.clip_statistics(sampler.sample_snippets(video, cfg.l, cfg.p, cfg.n))
+        assert row.tobytes() == want.tobytes()
 
 
 def test_decay_epoch_semantics():
@@ -165,7 +191,8 @@ def test_restore_model_rejects_a_transposed_weight_naming_it(tmp_path, small_dat
 
 def test_load_checkpoint_rejects_non_checkpoint(tmp_path):
     from tcgl import blobio
-    blobio.save_arrays(tmp_path / "g", {"x": np.ones(2)}, meta={"kind": "gallery"})
+    blobio.save_arrays(tmp_path / "g",
+                       blobio.encode({"x": np.ones(2)}, meta={"kind": "gallery"}))
     with pytest.raises(ValueError):
         trainer.load_checkpoint(tmp_path / "g")
 
@@ -569,7 +596,7 @@ def test_batch_matches_batches_of_one(small_dataset, alpha, beta):
     cfg = small_config(str(small_dataset), alpha=alpha, beta=beta)
     _, videos = sampler.load_dataset(small_dataset)
     model = trainer.build_model(cfg)
-    stats = np.stack([trainer.video_statistics(v, cfg) for v in videos[:6]])
+    stats = trainer.video_statistics(videos[:6], cfg)
 
     # a shared stream is drawn sample by sample, in the per-video order
     batch_draws = trainer.draw_batch(cfg, [np.random.default_rng(4)] * 6)

@@ -16,6 +16,10 @@ freshly built default-config checkpoint with val_fraction 0.5. It covers
 both galleries' embeddings and labels, the accuracy of each of the 20
 ``eval_order`` chunks, and the retrieval table for k in 1, 5, 10, 20, 50.
 
+The last line digests the verification path: ``evalkit.verify_all(seed=0)``,
+the report behind ``tcgl gradcheck``, as each check's name, verdict, and
+measured and threshold values in hex.
+
 Run it on each checkout, with that checkout's src on the path, and
 compare the printed lines:
 
@@ -84,6 +88,13 @@ def eval_digest(data_dir, ckpt):
     return h.hexdigest()
 
 
+def report_digest(report):
+    """sha256 of a VerificationReport's checks: name, verdict, hex measured and threshold."""
+    checks = [(c.name, c.passed, float(c.measured).hex(), float(c.threshold).hex())
+              for c in report.checks]
+    return hashlib.sha256(repr(checks).encode()).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
@@ -96,6 +107,7 @@ def main():
         sampler.generate_dataset(data, num_videos=1000, num_classes=10, seed=1)
         config = trainer.TrainConfig(data_dir=str(data), val_fraction=0.5).validate()
         print("eval-retrieve-seed1", eval_digest(data, fresh_checkpoint(config)), flush=True)
+    print("gradcheck-seed0", report_digest(evalkit.verify_all(seed=0)), flush=True)
 
 
 if __name__ == "__main__":
