@@ -23,22 +23,22 @@ FORMAT_VERSION = 2
 FILE_NAME = "arrays.bin"
 TMP_NAME = f"{FILE_NAME}.tmp"
 
-_DTYPES = ("<f4", "<f8")
+_DTYPES = ("<f8",)
 _DIGEST_SIZE = hashlib.sha256().digest_size
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
 def encode(arrays, meta=None):
     """arrays.bin of named arrays plus metadata, as the chunks ``save_arrays`` writes:
-    header line, arrays (uncopied), sha256. Encode once for any number of saves."""
+    header line, arrays as C-contiguous float64 (uncopied when already so),
+    sha256. Encode once for any number of saves."""
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
     arrs, offset = [], 0
     for name, arr in arrays.items():
         if name.split() != [name] or name[0] == "#":
             raise ValueError(f"array name {name!r} must be non-empty, without whitespace "
                              "and not start with '#'")
-        arr = np.asarray(arr)
-        arr = np.require(arr, "<f4" if arr.dtype == np.float32 else "<f8", "C")
+        arr = np.require(arr, "<f8", "C")
         header["arrays"].append({"name": name, "dtype": arr.dtype.str, "shape": arr.shape,
                                  "offset": offset, "length": arr.nbytes})
         arrs.append(arr)

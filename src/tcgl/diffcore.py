@@ -1,9 +1,10 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Holds the operations the model and its losses are built from: matmul,
-add, hadamard, concat, reshape, relu, l2_normalize, log_softmax, sum and
-indexing; the one linear layer every parameterised block is built from
-(``init_linear``, ``linear``); and the fused one-node ``graph_conv`` and
+Holds the operations the model and its losses are built from, each under
+one name: add, mul (hadamard), concat, reshape, getitem, relu, tsum,
+l2_normalize and log_softmax; the one linear layer every parameterised
+block is built from (``init_linear``, ``linear``, x (..., d_in) times one
+(d_in, d_out) matrix); and the fused one-node ``graph_conv`` and
 ``nt_xent``, the one contrastive loss. Every op accepts leading batch
 axes, so a whole minibatch of small graphs runs as stacked arrays on one
 tape. The tape is rebuilt on every forward pass (define-by-run), so its
@@ -25,9 +26,9 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
-    Arithmetic on tensors records backward rules on the implicit tape
-    (parent links); ``backward(loss)`` on a scalar loss fills ``grad`` on
-    every reachable tensor that requires it.
+    Tensors have no operators: each function below records its backward
+    rule on the implicit tape (parent links), and ``backward(loss)`` on a
+    scalar loss fills ``grad`` on every reachable tensor that requires it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
@@ -48,34 +49,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a supported op")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _as_tensor(x):
@@ -178,33 +151,6 @@ def mul(a, b):
     return Tensor(out_data, _parents=(a, b), _backward=rule)
 
 
-def _matmul_grads(a, b, g, want_a, want_b):
-    """Gradients of np.matmul(a, b) w.r.t. the wanted arrays, else None."""
-    # Promote 1-D operands as np.matmul does, so one rule covers every case.
-    a2 = a[None, :] if a.ndim == 1 else a
-    b2 = b[:, None] if b.ndim == 1 else b
-    if b.ndim == 1:
-        g = g[..., None]
-    if a.ndim == 1:
-        g = g[..., None, :]
-    ga = gb = None
-    if want_a:
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b2, -1, -2)), a2.shape).reshape(a.shape)
-    if want_b:
-        if b2.ndim == 2:  # a shared matrix: one product over all batch rows
-            gb = a2.reshape(-1, a2.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), b2.shape)
-        gb = gb.reshape(b.shape)
-    return ga, gb
-
-
-def matmul(a, b):
-    """Matrix product with ``np.matmul`` semantics: 1-D operands are
-    promoted to a row or column, leading axes are batch axes that broadcast."""
-    return linear(a, b)
-
-
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
@@ -282,21 +228,28 @@ def init_linear(rng, d_in, d_out, gain=INIT_GAIN, bias=True):
     return weight, Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True)
 
 
+def _weight_grad(x, g):
+    """Gradient of x @ W for one shared (d_in, d_out) matrix W, given the
+    gradient ``g`` of the product: one product over every row of ``x``."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def linear(x, weight, bias=None):
-    """x @ weight (+ bias) over the last axis of ``x``, as one tape node;
-    the product follows ``matmul``."""
+    """x @ weight (+ bias) as one tape node, for ``x`` (..., d_in) with any
+    number of leading axes, zero included, and one (d_in, d_out) ``weight``
+    matrix; any other weight raises ShapeError."""
     x, weight = _as_tensor(x), _as_tensor(weight)
-    try:
-        out_data = np.matmul(x.data, weight.data)
-    except ValueError:
-        raise ShapeError(f"matmul: shapes {x.data.shape} @ {weight.data.shape} do not conform")
+    if weight.data.ndim != 2 or x.data.shape[-1:] != weight.data.shape[:1]:
+        raise ShapeError(f"linear: shapes {x.data.shape} @ {weight.data.shape} do not conform")
+    out_data = np.matmul(x.data, weight.data)
     if bias is not None:
         out_data = out_data + bias.data
 
     def rule(g):
-        gx, gw = _matmul_grads(x.data, weight.data, g, x.requires_grad, weight.requires_grad)
-        _accumulate(x, gx)
-        _accumulate(weight, gw)
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g, weight.data.T))
+        if weight.requires_grad:
+            _accumulate(weight, _weight_grad(x.data, g))
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
@@ -306,7 +259,8 @@ def linear(x, weight, bias=None):
 
 def graph_conv(s, x, weight):
     """relu(s @ x @ weight) as one tape node, for node features ``x``
-    (..., N, F) and constant propagation matrices ``s`` (..., N, N)."""
+    (..., N, F), constant propagation matrices ``s`` (..., N, N) and one
+    (F, F_out) ``weight`` matrix."""
     x = _as_tensor(x)
     sx = np.matmul(s, x.data)
     out_data = np.matmul(sx, weight.data)
@@ -314,9 +268,11 @@ def graph_conv(s, x, weight):
 
     def rule(g):
         g = g * mask
-        gsx, gw = _matmul_grads(sx, weight.data, g, x.requires_grad, weight.requires_grad)
-        _accumulate(weight, gw)
-        _accumulate(x, _matmul_grads(s, x.data, gsx, False, x.requires_grad)[1])
+        if weight.requires_grad:
+            _accumulate(weight, _weight_grad(sx, g))
+        if x.requires_grad:
+            g_sx = np.matmul(g, weight.data.T)
+            _accumulate(x, _unbroadcast(np.matmul(np.swapaxes(s, -1, -2), g_sx), x.data.shape))
 
     return Tensor(out_data * mask, _parents=(x, weight), _backward=rule)
 

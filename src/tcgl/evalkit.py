@@ -135,7 +135,7 @@ def _gradient_suite(report, rng):
     probe = dc.Tensor(rng.standard_normal(6))
     cases = {
         "relu": lambda x: dc.tsum(dc.relu(x)),
-        "matmul": lambda x: dc.tsum(dc.matmul(x, m_right)),
+        "matmul": lambda x: dc.tsum(dc.linear(x, m_right)),
         "hadamard": lambda x: dc.tsum(dc.mul(x, x)),
         "l2_normalize": lambda x: dc.tsum(dc.l2_normalize(x)),
         "log_softmax": lambda x: dc.tsum(dc.mul(dc.log_softmax(x), probe)),
@@ -168,7 +168,7 @@ def full_loss_gradient_check(seed=3, epsilon=1e-5):
 
     def objective(*_):
         draws = trainer.draw_batch(config, [np.random.default_rng(seed)], [2])
-        return trainer.forward_sample(model, config, stats, draws).loss[0]
+        return dc.getitem(trainer.forward_sample(model, config, stats, draws).loss, 0)
 
     return dc.finite_diff_check(objective, params, epsilon=epsilon)
 

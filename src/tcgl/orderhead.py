@@ -57,7 +57,7 @@ def order_loss(pred: OrderPrediction, label):
     c = pred.log_probs.data.shape[-1]
     if label.shape != pred.log_probs.data.shape[:-1] or np.any((label < 0) | (label >= c)):
         raise ValueError(f"labels {label} do not fit predictions over {c} classes")
-    return -pred.log_probs[(*np.indices(label.shape), label)]
+    return dc.mul(dc.getitem(pred.log_probs, (*np.indices(label.shape), label)), -1.0)
 
 
 def order_head_forward(features, label, params: OrderHeadParams):

@@ -2,8 +2,8 @@
 
 Videos are dense float arrays of shape (frames, channels, height, width).
 The synthetic generator stands in for real datasets: every class owns a
-distinct pair of motion parameters (brightness drift per frame, contrast
-oscillation period), so frame order is statistically recoverable and
+distinct contrast oscillation period (and its phase speed, the drift in
+cycles per frame), so frame order is statistically recoverable and
 classes are separable by their temporal statistics rather than by any per
 video appearance, which is randomized as a nuisance.
 """
@@ -43,7 +43,7 @@ class SyntheticLabel:
     """Motion parameters standing in for a dataset class."""
 
     class_id: int
-    drift: float  # total brightness drift over the whole video
+    drift: float  # contrast oscillation's phase speed in cycles per frame, 1 / period
     period: float  # contrast oscillation period in frames
 
 

@@ -253,7 +253,7 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
         j_graph = contrast.total_graph_loss(intra_losses, j_graph, config.alpha, config.beta)
 
     perms = sampler.permutation_table(n)[draws.perm_ids]
-    shuffled = v_embed[np.arange(b)[:, None], perms]  # (B, n, F)
+    shuffled = dc.getitem(v_embed, (np.arange(b)[:, None], perms))  # (B, n, F)
     pred, j_order = orderhead.order_head_forward(shuffled, draws.perm_ids, model.order)
     loss = orderhead.total_loss(j_graph, j_order, config.lambda_g, config.lambda_o)
     return SampleResult(
@@ -374,8 +374,11 @@ def _start(config, resume_from):
         start = Checkpoint(params, {k: np.zeros_like(v) for k, v in params.items()}, -1, config)
     else:
         start = load_checkpoint(resume_from)
-        if asdict(start.config) != asdict(config):
-            raise ValueError("resume checkpoint was trained with a different config")
+        requested = asdict(config)
+        if diff := [f"{k}: {v!r} != {requested[k]!r}"
+                    for k, v in asdict(start.config).items() if v != requested[k]]:
+            raise ValueError("resume checkpoint was trained with a different config: "
+                             + ", ".join(diff))
         model = restore_model(start, channels)
     stats = video_statistics(videos, config)
     return model, start, stats, train_idx, val_idx
@@ -434,8 +437,10 @@ def train(config: TrainConfig, resume_from=None, log=None):
     checkpoints under out_dir when it is set. ``resume_from`` continues a
     saved last/ checkpoint, or the best/ beside a last/ that no save
     finished in, or starts afresh when neither was saved; metrics.csv keeps
-    its complete rows up to that checkpoint's epoch, and when no later
-    epoch improves the validation loss, the best/ beside it is returned.
+    its complete rows up to that checkpoint's epoch. When no later epoch
+    improves the validation loss, the best/ saved under out_dir is returned
+    (resume refuses any other config, so that is where this run saved it),
+    or, without an out_dir, the best/ beside ``resume_from``.
     """
     if resume_from is not None:
         resume_from = _resume_source(resume_from)
@@ -463,7 +468,8 @@ def train(config: TrainConfig, resume_from=None, log=None):
         _persist(out_dir, log, rows[-1], last, improved)
 
     if best is None:
-        best = last if resume_from is None else load_checkpoint(Path(resume_from).parent / "best")
+        best = last if resume_from is None else load_checkpoint(
+            (out_dir or Path(resume_from).parent) / "best")
     return best, rows
 
 

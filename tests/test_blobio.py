@@ -43,9 +43,9 @@ def test_round_trip_is_bit_exact(arrays):
     assert meta["kind"] == "test"
     assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
-        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arr.shape
-        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].tobytes() == arr.astype("<f8").tobytes()  # float32 widens exactly
 
 
 _non_empty = st.dictionaries(_names, _arrays(min_side=1), min_size=1, max_size=4)
@@ -147,7 +147,8 @@ def test_redigested_header_edit_loads_the_same_arrays_or_raises(arrays, data):
             return
     assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
-        assert (loaded[name].dtype, loaded[name].tobytes()) == (arr.dtype, arr.tobytes())
+        assert (loaded[name].dtype, loaded[name].tobytes()) == (np.float64,
+                                                                arr.astype("<f8").tobytes())
 
 
 @pytest.mark.parametrize("edit", [
@@ -157,10 +158,11 @@ def test_redigested_header_edit_loads_the_same_arrays_or_raises(arrays, data):
     lambda h: {**h, "arrays": [{**h["arrays"][0], "offset": -8}]},
     lambda h: {**h, "arrays": h["arrays"][:-1]},
     lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "<i8"}, h["arrays"][1]]},
+    lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "<f4", "shape": [6]}, h["arrays"][1]]},
     lambda h: {**h, "arrays": [h["arrays"][0], {**h["arrays"][1], "name": "x"}]},
     lambda h: {**h, "arrays": [h["arrays"][0], {**h["arrays"][1], "shape": [3], "length": 24}]},
 ], ids=["no-arrays", "no-meta", "list-header", "offset-minus-8", "last-entry-dropped",
-        "same-size-dtype", "duplicate-name", "past-the-digest"])
+        "same-size-dtype", "float32-dtype", "duplicate-name", "past-the-digest"])
 def test_malformed_header_probes_are_rejected(tmp_path, edit):
     path = _save({"x": np.arange(3.0), "y": np.ones(2)}, tmp_path)
     _redigest(path, edit)

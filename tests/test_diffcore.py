@@ -16,29 +16,31 @@ def test_relu_forward():
 def test_add_broadcast_and_backward():
     a = dc.Tensor(np.ones((3, 4)), requires_grad=True)
     b = dc.Tensor(np.ones(4), requires_grad=True)
-    loss = dc.tsum(a + b)
+    loss = dc.tsum(dc.add(a, b))
     dc.backward(loss)
     assert np.array_equal(a.grad, np.ones((3, 4)))
     assert np.array_equal(b.grad, np.full(4, 3.0))
 
 
-def test_matmul_shape_mismatch_raises():
-    a = dc.Tensor(np.ones((2, 3)))
-    b = dc.Tensor(np.ones((4, 2)))
+def test_linear_refuses_a_weight_that_is_not_one_conforming_matrix():
+    x = dc.Tensor(np.ones((2, 3, 2)))
+    for weight in (np.ones((2, 3, 2)), np.ones(2), np.ones((4, 2))):
+        with pytest.raises(dc.ShapeError):
+            dc.linear(x, dc.Tensor(weight))
     with pytest.raises(dc.ShapeError):
-        a @ b
+        dc.linear(dc.Tensor(2.0), dc.Tensor(np.ones((1, 2))))
 
 
 def test_backward_requires_scalar():
     a = dc.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(dc.ShapeError):
-        dc.backward(a + 1.0)
+        dc.backward(dc.add(a, 1.0))
 
 
 def test_grad_returns_zeros_for_disconnected_leaf():
     a = dc.Tensor(2.0, requires_grad=True)
     b = dc.Tensor(3.0, requires_grad=True)
-    grads = dc.grad(a * a, [a, b])
+    grads = dc.grad(dc.mul(a, a), [a, b])
     assert grads[0] == pytest.approx(4.0)
     assert np.array_equal(grads[1], np.zeros(()))
 
@@ -49,14 +51,14 @@ def test_grad_into_out_overwrites_and_zeroes_unreached_leaves():
     b = dc.Tensor(np.ones((2, 2)), requires_grad=True)
     buffer = np.full(7, 9.0)
     out = [buffer[:3], buffer[3:].reshape(2, 2)]
-    assert dc.grad(dc.tsum(a * a), [a, b], out) is out
+    assert dc.grad(dc.tsum(dc.mul(a, a)), [a, b], out) is out
     assert np.array_equal(buffer, [0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_grad_without_out_returns_fresh_float64_arrays():
     a = dc.Tensor(np.arange(3.0), requires_grad=True)
     b = dc.Tensor(np.ones((2, 2)), requires_grad=True)
-    grads = dc.grad(dc.tsum(a * a), [a, b])
+    grads = dc.grad(dc.tsum(dc.mul(a, a)), [a, b])
     assert [g.dtype for g in grads] == [np.float64, np.float64]
     assert np.array_equal(grads[0], [0.0, 2.0, 4.0])
     assert np.array_equal(grads[1], np.zeros((2, 2)))
@@ -66,7 +68,7 @@ def test_grad_without_out_returns_fresh_float64_arrays():
 
 def test_grad_accumulates_through_shared_subexpression():
     a = dc.Tensor(3.0, requires_grad=True)
-    y = a * a + a
+    y = dc.add(dc.mul(a, a), a)
     dc.backward(y)
     assert a.grad == pytest.approx(7.0)
 
@@ -76,7 +78,7 @@ def test_first_gradient_is_an_own_copy():
     # alias y's, or the second += into x would reach y.
     x = dc.Tensor(np.ones(3), requires_grad=True)
     y = dc.Tensor(np.ones(3), requires_grad=True)
-    dc.backward(dc.tsum(x + y + x))
+    dc.backward(dc.tsum(dc.add(dc.add(x, y), x)))
     assert np.array_equal(x.grad, np.full(3, 2.0))
     assert np.array_equal(y.grad, np.ones(3))
     assert dc.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float64
@@ -116,7 +118,7 @@ def test_init_linear_draws_weight_then_bias_within_the_fan_in_bound():
 def test_concat_and_stack_gradients():
     a = dc.Tensor(np.arange(3.0), requires_grad=True)
     b = dc.Tensor(np.arange(3.0, 6.0), requires_grad=True)
-    dc.backward(dc.tsum(dc.concat([a, b]) * 2.0))
+    dc.backward(dc.tsum(dc.mul(dc.concat([a, b]), 2.0)))
     assert np.array_equal(a.grad, np.full(3, 2.0))
     assert np.array_equal(b.grad, np.full(3, 2.0))
     # the view stack of graph_loss: batched (N, D) views joined along axis -2
@@ -154,7 +156,7 @@ _Y = np.array([[1.0, 2.0, 0.5], [-0.5, 1.0, 3.0]])
 
 # Each op by name: the diffcore function, its inputs, and its numpy reference.
 _NAMED_OPS = {
-    "matmul": (dc.matmul, (_X, _Y.T), lambda x, y: x @ y),
+    "matmul": (dc.linear, (_X, _Y.T), lambda x, y: x @ y),
     "add": (dc.add, (_X, _Y), np.add),
     "hadamard": (dc.mul, (_X, _Y), np.multiply),
     "concat": (lambda a, b: dc.concat([a, b]), (_X, _Y), lambda x, y: np.concatenate([x, y])),
@@ -186,10 +188,10 @@ def test_finite_diff_every_op():
     m = dc.Tensor(rng.standard_normal((6, 3)))
     checks = [
         (lambda t: dc.tsum(dc.relu(t)), [x]),
-        (lambda t: dc.tsum(t @ m), [x]),
+        (lambda t: dc.tsum(dc.linear(t, m)), [x]),
         (lambda t: dc.tsum(dc.l2_normalize(t)), [x]),
         (lambda t: dc.tsum(dc.log_softmax(t)), [x]),
-        (lambda t: t[2], [v]),
+        (lambda t: dc.getitem(t, 2), [v]),
     ]
     for f, inputs in checks:
         assert _fd_ok(f, inputs)
@@ -198,12 +200,12 @@ def test_finite_diff_every_op():
 def test_finite_diff_reports_nonfinite():
     bad = dc.Tensor(np.array([1.0, np.inf]), requires_grad=True)
     with pytest.raises(FloatingPointError):
-        dc.finite_diff_check(lambda t: dc.tsum(t * 2.0), [bad])
+        dc.finite_diff_check(lambda t: dc.tsum(dc.mul(t, 2.0)), [bad])
 
 
 def test_getitem_backward_counts_repeated_indices():
     x = dc.Tensor(np.zeros(3), requires_grad=True)
-    dc.backward(dc.tsum(x[[0, 0, 1]]))
+    dc.backward(dc.tsum(dc.getitem(x, [0, 0, 1])))
     assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
@@ -218,24 +220,21 @@ def _values(shape):
 
 
 @st.composite
-def _matmul_operands(draw):
-    """Operands with broadcasting batch axes; without batch axes either may be 1-D."""
-    n, k, m = draw(_dim), draw(_dim), draw(_dim)
-    a_batch, b_batch = draw(hnp.mutually_broadcastable_shapes(
-        num_shapes=2, max_dims=2, max_side=3)).input_shapes
-    a_shape = (k,) if not a_batch and draw(st.booleans()) else a_batch + (n, k)
-    b_shape = (k,) if not b_batch and draw(st.booleans()) else b_batch + (k, m)
-    return draw(_values(a_shape)), draw(_values(b_shape))
+def _linear_operands(draw):
+    """x (..., k) with 0-3 leading axes and one (k, m) weight."""
+    k, m = draw(_dim), draw(_dim)
+    batch = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3))
+    return draw(_values(batch + (k,))), draw(_values((k, m)))
 
 
 @_settings
-@given(_matmul_operands())
-def test_matmul_property_matches_numpy_and_finite_differences(operands):
+@given(_linear_operands())
+def test_linear_property_matches_numpy_and_finite_differences(operands):
     a = dc.Tensor(operands[0], requires_grad=True)
     b = dc.Tensor(operands[1], requires_grad=True)
-    assert np.allclose((a @ b).data, np.matmul(a.data, b.data))
+    assert np.allclose(dc.linear(a, b).data, np.matmul(a.data, b.data))
     probe = np.random.default_rng(0).standard_normal(np.matmul(a.data, b.data).shape)
-    err = dc.finite_diff_check(lambda x, y: dc.tsum(dc.mul(x @ y, probe)), [a, b])
+    err = dc.finite_diff_check(lambda x, y: dc.tsum(dc.mul(dc.linear(x, y), probe)), [a, b])
     assert err < 1e-6
 
 
@@ -248,8 +247,8 @@ def test_getitem_property_fancy_and_repeated_indices(data):
     idx = tuple(np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=count, max_size=count)))
                 for d in shape[:data.draw(st.integers(1, len(shape)))])
     probe = np.random.default_rng(3).standard_normal(x.data[idx].shape)
-    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(t[idx], probe)), [x]) < 1e-6
-    dc.backward(dc.tsum(x[idx]))
+    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.getitem(t, idx), probe)), [x]) < 1e-6
+    dc.backward(dc.tsum(dc.getitem(x, idx)))
     expected = np.zeros(shape)
     np.add.at(expected, idx, 1.0)
     assert np.array_equal(x.grad, expected)
@@ -280,7 +279,7 @@ def test_linear_property_equals_matmul_plus_add_bit_for_bit(data):
 
     def run(fused):
         x, w, b = (dc.Tensor(v, requires_grad=True) for v in (x_data, w_data, b_data))
-        out = dc.linear(x, w, b) if fused else dc.add(dc.matmul(x, w), b)
+        out = dc.linear(x, w, b) if fused else dc.add(dc.linear(x, w), b)
         dc.backward(dc.tsum(dc.mul(out, probe)))
         return out.data, x.grad, w.grad, b.grad
 

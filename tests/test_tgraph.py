@@ -113,7 +113,8 @@ def test_gcn_gradient_matches_finite_differences():
 
 
 def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
-    # each graph of the batch has its own drawn (B, N, N) adjacency
+    # each graph of the batch has its own drawn (B, N, N) adjacency; the
+    # clean chains share one (N, N) propagation matrix over (B, N, F) features
     rng = np.random.default_rng(12)
     b, n, f = 3, 5, 4
     coins = rng.random((b, tgraph.coin_count(n, f)))
@@ -126,7 +127,12 @@ def test_gcn_gradients_on_batched_view_adjacencies_match_finite_differences():
         view = tgraph.TemporalGraph(dc.mul(x, mask), adj)
         return dc.tsum(dc.mul(tgraph.gcn_forward(view, tgraph.GcnParams(w)), probe))
 
+    def clean_loss(x, w):
+        clean = tgraph.build_chain_graph(x)
+        return dc.tsum(dc.mul(tgraph.gcn_forward(clean, tgraph.GcnParams(w)), probe))
+
     assert dc.finite_diff_check(loss, [x, w]) < 1e-6
+    assert dc.finite_diff_check(clean_loss, [x, w]) < 1e-6
     clean = tgraph.build_chain_graph(x)
     assert np.array_equal(tgraph.gcn_forward(clean, tgraph.GcnParams(w)).data,
                           np.maximum(tgraph._propagation_matrix(tgraph.chain_adjacency(n))

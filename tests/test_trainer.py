@@ -1,6 +1,7 @@
 """Training loop: optimizer, splits, checkpoints, determinism, resume."""
 
 import os
+import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -352,6 +353,28 @@ def test_resume_returns_the_saved_best(tmp_path, small_dataset):
         for k in best_full.params:
             assert np.array_equal(best.params[k], best_full.params[k])
             assert np.array_equal(best.momentum[k], best_full.momentum[k])
+
+
+def test_resume_from_a_copied_last_returns_the_best_saved_under_out_dir(tmp_path, small_dataset):
+    # resume refuses any other config, so out_dir is where the run's best/ was saved
+    cfg = small_config(str(small_dataset), out_dir=str(tmp_path / "run"))
+    trainer.train(cfg)
+    shutil.copytree(tmp_path / "run" / "last", tmp_path / "copy" / "ck")
+    best, rows = trainer.train(cfg, resume_from=str(tmp_path / "copy" / "ck"))
+    saved = trainer.load_checkpoint(tmp_path / "run" / "best")
+    assert rows == [] and best.epoch == saved.epoch
+    _same_arrays(best, saved)
+
+
+def test_resume_with_another_config_names_each_differing_field(uninterrupted_run):
+    cfg, *_ = uninterrupted_run
+    last = str(Path(cfg.out_dir) / "last")
+    with pytest.raises(ValueError, match="different config: epochs: 4 != 5$"):
+        trainer.train(replace(cfg, epochs=5), resume_from=last)
+    with pytest.raises(ValueError) as refused:
+        trainer.train(replace(cfg, out_dir=cfg.out_dir + "/", seed=6), resume_from=last)
+    assert str(refused.value).endswith(f"out_dir: {cfg.out_dir!r} != {cfg.out_dir + '/'!r}, "
+                                       "seed: 5 != 6")
 
 
 @pytest.fixture(scope="module")
