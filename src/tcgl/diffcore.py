@@ -1,11 +1,13 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
 Holds the operations the model and its losses are built from, each under
-one name: add, mul (hadamard), concat, reshape, getitem, relu, tsum,
-l2_normalize and log_softmax; the one linear layer every parameterised
-block is built from (``init_linear``, ``linear``, x (..., d_in) times one
-(d_in, d_out) matrix); and the fused one-node ``graph_conv`` and
-``nt_xent``, the one contrastive loss. Every op accepts leading batch
+one name: add, mul (hadamard), concat, relu, tsum, l2_normalize and
+log_softmax; the one linear layer every parameterised block is built from
+(``init_linear``, ``linear``, x (..., d_in) times one (d_in, d_out)
+matrix); and the fused one-node ``graph_conv`` and ``nt_xent``, the one
+contrastive loss. ``orderhead.order_head_forward`` builds the order head
+and its cross-entropy as one more fused node, from ``_weight_grad``,
+``_unbroadcast`` and ``_accumulate``. Every op accepts leading batch
 axes, so a whole minibatch of small graphs runs as stacked arrays on one
 tape. The tape is rebuilt on every forward pass (define-by-run), so its
 creation order is topological and there is no hidden state between steps.
@@ -166,27 +168,6 @@ def concat(tensors, axis=0):
             _accumulate(t, g[tuple(sl)])
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=rule)
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-
-    def rule(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), _parents=(a,), _backward=rule)
-
-
-def getitem(a, idx):
-    a = _as_tensor(a)
-    out_data = a.data[idx]
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)  # a repeated index collects every gradient it received
-        _accumulate(a, full)
-
-    return Tensor(out_data, _parents=(a,), _backward=rule)
 
 
 def relu(a):

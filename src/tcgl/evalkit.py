@@ -168,7 +168,7 @@ def full_loss_gradient_check(seed=3, epsilon=1e-5):
 
     def objective(*_):
         draws = trainer.draw_batch(config, [np.random.default_rng(seed)], [2])
-        return dc.getitem(trainer.forward_sample(model, config, stats, draws).loss, 0)
+        return dc.tsum(trainer.forward_sample(model, config, stats, draws).loss)
 
     return dc.finite_diff_check(objective, params, epsilon=epsilon)
 

@@ -168,26 +168,6 @@ def gen_synthetic_video(seed, label: SyntheticLabel, frames=64, channels=1,
     return VideoTensor(data=data.astype(np.float32), class_id=label.class_id)
 
 
-def analytic_signal(x):
-    """x + i H(x), the analytic signal of a real 1-D signal: its DFT with
-    the negative frequencies zeroed and the positive ones doubled (Marple,
-    IEEE TSP 47(9), 1999)."""
-    spectrum = np.fft.rfft(x)  # frequencies 0 .. n // 2
-    spectrum[1:(len(x) + 1) // 2] *= 2.0
-    return np.fft.ifft(spectrum, len(x))  # the negative ones padded with zeros
-
-
-def phase_statistic(video: VideoTensor):
-    """Unwrapped analytic phase of the contrast rhythm.
-
-    The per-frame spatial standard deviation oscillates at the class
-    period; its unwrapped Hilbert phase advances monotonically with the
-    frame index, making frame order statistically recoverable.
-    """
-    stds = video.data.std(axis=(1, 2, 3)).astype(np.float64)
-    return np.unwrap(np.angle(analytic_signal(stds - stds.mean())))
-
-
 # -- dataset files ------------------------------------------------------
 
 _HEADER = struct.Struct("<5i")  # frames, channels, height, width, class_id
@@ -258,7 +238,8 @@ def load_dataset(data_dir):
                              "and an integer 'class_id'")
         video = read_video(data / entry["file"])
         if video.class_id != entry["class_id"]:
-            raise ValueError(f"{entry['file']}: class id mismatch with manifest")
+            raise ValueError(f"{data / entry['file']}: header class id {video.class_id} "
+                             f"differs from the manifest's {entry['class_id']}")
         videos.append(video)
     return manifest, videos
 

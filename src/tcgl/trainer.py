@@ -252,9 +252,7 @@ def forward_sample(model: Model, config: TrainConfig, stats, draws: Draws):
                                             model.proj_intra, config.tau)  # (B, n)
         j_graph = contrast.total_graph_loss(intra_losses, j_graph, config.alpha, config.beta)
 
-    perms = sampler.permutation_table(n)[draws.perm_ids]
-    shuffled = dc.getitem(v_embed, (np.arange(b)[:, None], perms))  # (B, n, F)
-    pred, j_order = orderhead.order_head_forward(shuffled, draws.perm_ids, model.order)
+    pred, j_order = orderhead.order_head_forward(v_embed, draws.perm_ids, model.order)
     loss = orderhead.total_loss(j_graph, j_order, config.lambda_g, config.lambda_o)
     return SampleResult(
         loss=loss,

@@ -220,6 +220,20 @@ def test_malformed_manifest_exits_one(tmp_path, capsys, manifest, message):
     assert str(data / "manifest.json") in err and message in err
 
 
+def test_manifest_class_id_differing_from_the_video_header_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    sampler.generate_dataset(data, num_videos=4, num_classes=2, seed=3)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["videos"][1]["class_id"] = 0  # the header of video 1 says class 1
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    message = f"{data / 'video_00001.bin'}: header class id 1 differs from the manifest's 0"
+    with pytest.raises(ValueError) as refused:
+        sampler.load_dataset(data)
+    assert str(refused.value) == message
+    assert cli.run(["train", "--data-dir", str(data), "--epochs", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("lr", "nan"), ("tau", "nan"), ("alpha", "inf"),
                                          ("lambda-g", "nan"), ("momentum", "inf")])
 def test_non_finite_float_flag_exits_one(small_dataset, capsys, flag, value):
@@ -274,6 +288,19 @@ def test_checkpoint_meta_without_a_required_key_exits_one(tmp_path, small_datase
                     "--data-dir", str(small_dataset)]) == 1
     err = capsys.readouterr().err
     assert str(tmp_path / "ck") in err and repr(key) in err
+
+
+def test_checkpoint_config_with_an_unknown_key_exits_one(tmp_path, small_dataset, capsys):
+    cfg = small_config(str(small_dataset))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    _redigest(tmp_path / "ck", lambda header: {**header, "meta": {
+        **header["meta"], "config": {**header["meta"]["config"], "dropout": 0.5}}})
+    assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck"),
+                    "--data-dir", str(small_dataset)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'ck'}: unknown config keys ['dropout']" in err
 
 
 @pytest.mark.parametrize("k", ["-1", "0"])

@@ -165,7 +165,6 @@ _NAMED_OPS = {
                      lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True)),
     "log_softmax": (dc.log_softmax, (_X,), lambda x: np.log(_softmax(x))),
     "sum": (dc.tsum, (_X,), np.sum),
-    "reshape": (lambda a: dc.reshape(a, (3, 1, 2)), (_X,), lambda x: x.reshape(3, 1, 2)),
 }
 
 
@@ -184,14 +183,12 @@ def _fd_ok(f, inputs, tol=1e-4):
 def test_finite_diff_every_op():
     rng = np.random.default_rng(7)
     x = dc.Tensor(rng.standard_normal((4, 6)) + 0.1, requires_grad=True)
-    v = dc.Tensor(np.abs(rng.standard_normal(6)) + 0.5, requires_grad=True)
     m = dc.Tensor(rng.standard_normal((6, 3)))
     checks = [
         (lambda t: dc.tsum(dc.relu(t)), [x]),
         (lambda t: dc.tsum(dc.linear(t, m)), [x]),
         (lambda t: dc.tsum(dc.l2_normalize(t)), [x]),
         (lambda t: dc.tsum(dc.log_softmax(t)), [x]),
-        (lambda t: dc.getitem(t, 2), [v]),
     ]
     for f, inputs in checks:
         assert _fd_ok(f, inputs)
@@ -201,12 +198,6 @@ def test_finite_diff_reports_nonfinite():
     bad = dc.Tensor(np.array([1.0, np.inf]), requires_grad=True)
     with pytest.raises(FloatingPointError):
         dc.finite_diff_check(lambda t: dc.tsum(dc.mul(t, 2.0)), [bad])
-
-
-def test_getitem_backward_counts_repeated_indices():
-    x = dc.Tensor(np.zeros(3), requires_grad=True)
-    dc.backward(dc.tsum(dc.getitem(x, [0, 0, 1])))
-    assert np.array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
 # -- property tests: generalized ops against finite differences ----------
@@ -236,36 +227,6 @@ def test_linear_property_matches_numpy_and_finite_differences(operands):
     probe = np.random.default_rng(0).standard_normal(np.matmul(a.data, b.data).shape)
     err = dc.finite_diff_check(lambda x, y: dc.tsum(dc.mul(dc.linear(x, y), probe)), [a, b])
     assert err < 1e-6
-
-
-@_settings
-@given(st.data())
-def test_getitem_property_fancy_and_repeated_indices(data):
-    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
-    x = dc.Tensor(data.draw(_values(shape)), requires_grad=True)
-    count = data.draw(st.integers(1, 6))
-    idx = tuple(np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=count, max_size=count)))
-                for d in shape[:data.draw(st.integers(1, len(shape)))])
-    probe = np.random.default_rng(3).standard_normal(x.data[idx].shape)
-    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.getitem(t, idx), probe)), [x]) < 1e-6
-    dc.backward(dc.tsum(dc.getitem(x, idx)))
-    expected = np.zeros(shape)
-    np.add.at(expected, idx, 1.0)
-    assert np.array_equal(x.grad, expected)
-
-
-@_settings
-@given(st.data())
-def test_reshape_property_round_trips_shape_and_gradient(data):
-    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=3))
-    x = dc.Tensor(data.draw(_values(shape)), requires_grad=True)
-    target = data.draw(st.permutations(shape))
-    out = dc.reshape(x, target)
-    assert np.array_equal(out.data, x.data.reshape(target))
-    probe = np.random.default_rng(4).standard_normal(tuple(target))
-    assert dc.finite_diff_check(lambda t: dc.tsum(dc.mul(dc.reshape(t, target), probe)), [x]) < 1e-6
-    dc.backward(dc.tsum(dc.mul(out, probe)))
-    assert np.array_equal(x.grad, probe.reshape(shape))
 
 
 @_settings

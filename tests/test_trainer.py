@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import blobio, encoder, sampler, tgraph, trainer
+from tcgl import blobio, contrast, encoder, sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -671,14 +671,24 @@ def _tape_nodes(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("alpha, most", [(1.0, 66), (0.0, 31)])
-def test_batch_tape_size_does_not_grow(alpha, most):
+def _batch_tape_nodes(alpha):
     # a default 16-sample batch, joint (alpha = beta = 1) or order-only
     cfg = trainer.TrainConfig(alpha=alpha, beta=alpha)
     stats = np.random.default_rng(0).random((16, cfg.n, 2 * cfg.l))
     draws = trainer.draw_batch(cfg, [np.random.default_rng(1)] * 16)
     res = trainer.forward_sample(trainer.build_model(cfg), cfg, stats, draws)
-    assert _tape_nodes(dc.tsum(res.loss)) <= most
+    return _tape_nodes(dc.tsum(res.loss))
+
+
+@pytest.mark.parametrize("alpha, most", [(1.0, 66), (0.0, 31)])
+def test_batch_tape_size_does_not_grow(alpha, most):
+    assert _batch_tape_nodes(alpha) <= most
+
+
+@pytest.mark.parametrize("alpha, most", [(1.0, 53), (0.0, 18)])
+def test_fused_order_head_shrinks_the_batch_tape(alpha, most):
+    # the shuffle, the head and its loss are one node: 13 fewer than as composed ops
+    assert _batch_tape_nodes(alpha) <= most
 
 
 @pytest.mark.parametrize("alpha, beta, lambda_g", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.5),
@@ -693,6 +703,22 @@ def test_draws_without_views_encode_the_snippets_only(monkeypatch, alpha, beta, 
     res = trainer.forward_sample(model, cfg, stats, trainer.Draws(np.arange(4), None))
     assert len(encoded) == 1 and encoded[0] is model.enc_snip
     assert np.array_equal(res.graph_loss, np.zeros(4))
+
+
+def test_intra_only_batch_has_graph_loss_alpha_times_its_intra_sum(monkeypatch):
+    # beta = 0 draws no inter view, so the intra views alone must switch J_g on
+    cfg = small_config("", alpha=1.0, beta=0.0)
+    stats = np.random.default_rng(0).random((4, cfg.n, 2 * cfg.l))
+    draws = trainer.draw_batch(cfg, [np.random.default_rng(2)] * 4)
+    assert draws.inter is None and draws.intra is not None
+    losses, graph_loss = [], contrast.graph_loss
+    monkeypatch.setattr(contrast, "graph_loss",
+                        lambda *args: losses.append(graph_loss(*args)) or losses[-1])
+    res = trainer.forward_sample(trainer.build_model(cfg), cfg, stats, draws)
+    (intra,) = losses  # (B, n), one loss per snippet's intra graph
+    assert intra.shape == (4, cfg.n)
+    assert np.array_equal(res.graph_loss, cfg.alpha * intra.data.sum(axis=-1))
+    assert np.all(res.graph_loss > 0)
 
 
 def test_draws_under_alpha_zero_reach_the_inter_projection_only():

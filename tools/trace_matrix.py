@@ -2,8 +2,10 @@
 
 A change meant to alter nothing must leave every digest as it was. The
 matrix is the 3-epoch runs on the 200-video, 10-class, seed-7 dataset for
-alpha = beta in {1, 0} x (p_r, p_m) in {(0.2, 0.1), (0, 0), (0, 0.3)}, plus
-the 200-epoch default run. A digest covers the run's metrics rows (each
+alpha = beta in {1, 0} x (p_r, p_m) in {(0.2, 0.1), (0, 0), (0, 0.3)}, the
+intra-only (alpha = 1, beta = 0) and inter-only (alpha = 0, beta = 1) runs
+at the default (p_r, p_m), which run one graph branch each, plus the
+200-epoch default run. A digest covers the run's metrics rows (each
 value's exact float), its metrics.csv bytes, and the epoch, best
 validation loss, parameters and momentum of its best/ and last/
 checkpoints. The checkpoints are hashed as loaded arrays, not as
@@ -39,6 +41,8 @@ from tcgl import evalkit, sampler, trainer
 MATRIX = {
     **{f"ab{ab:g}-pr{p_r:g}-pm{p_m:g}-e3": dict(alpha=ab, beta=ab, p_r=p_r, p_m=p_m, epochs=3)
        for ab in (1.0, 0.0) for p_r, p_m in ((0.2, 0.1), (0.0, 0.0), (0.0, 0.3))},
+    "a1-b0-e3": dict(alpha=1.0, beta=0.0, epochs=3),
+    "a0-b1-e3": dict(alpha=0.0, beta=1.0, epochs=3),
     "default-e200": {},
 }
 
