@@ -3,10 +3,10 @@
 A saved directory holds one file, arrays.bin: a JSON header line (format
 version, meta, and each array's name, dtype, shape, byte offset and
 length), then the little-endian array bytes, then the sha256 of everything
-before it. A save streams into arrays.bin.tmp and renames it over
-arrays.bin, so a process that dies mid-save leaves the previous file whole.
-Loading checks the digest first, so a damaged or truncated byte anywhere,
-header included, is rejected with a diagnostic.
+before it. A save writes a preallocated arrays.bin.tmp in one call and
+renames it over arrays.bin, so a process that dies mid-save leaves the
+previous file whole. Loading checks the digest first, so a damaged or
+truncated byte anywhere, header included, is rejected with a diagnostic.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ def save_arrays(dir_path, chunks):
     """Write ``encode``'s chunks into ``dir_path``/arrays.bin."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
+    data = b"".join(chunks)
     with open(out / TMP_NAME, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        if hasattr(os, "posix_fallocate"):  # allocated blocks: no ext4 write-back on rename
+            os.posix_fallocate(fh.fileno(), 0, len(data))
+        fh.write(data)
     os.replace(out / TMP_NAME, out / FILE_NAME)
 
 

@@ -5,10 +5,10 @@ under a shared two-layer projection head. For a positive pair (u_i, v_i)
 the loss is the negative log of the softmax probability of the positive
 relation against all cross-view relations plus the same-view relations
 with k != i, at temperature tau. Both views are projected and normalised
-as one stack of 2N rows, and every loss here is the NT-Xent node over
-that stack: a graph's loss averages all 2N anchors, and a single pair's
-loss is its anchor alone. The combined graph loss weights intra and inter
-terms.
+as one stack of 2N rows. A graph's loss is the NT-Xent node over that
+stack, the mean of all 2N anchors' terms; a single pair's loss is its
+anchor's term alone, forward only. The combined graph loss weights intra
+and inter terms.
 """
 
 from __future__ import annotations
@@ -47,18 +47,17 @@ def _projected_stack(u_rows, v_rows, proj: ProjectionParams):
 
 
 def pairwise_loss(u_rows, v_rows, i, tau, proj: ProjectionParams):
-    """-log softmax probability of the positive pair (u_i, v_i).
+    """-log softmax probability of the positive pair (u_i, v_i), forward only.
 
     Negatives are every cross-view pair (u_i, v_k) with k != i and every
     same-view pair (u_i, u_k) with k != i: anchor i of ``graph_loss``'s
     stack, through the same max-subtracted logsumexp.
     """
     n = u_rows.data.shape[0]
-    if n == 0:
-        raise ValueError("empty embedding matrix")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range for {n} nodes")
-    return dc.nt_xent(_projected_stack(u_rows, v_rows, proj), tau, anchor=i)
+    rows = dc._nt_xent_rows(_projected_stack(u_rows, v_rows, proj).data, tau)[0]
+    return dc.Tensor(rows[..., i])
 
 
 def graph_loss(u_rows, v_rows, tau, proj: ProjectionParams):

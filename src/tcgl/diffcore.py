@@ -298,36 +298,35 @@ def _nt_xent_constants(two_n):
     return mask, positive
 
 
-def nt_xent(p, tau, anchor=None):
-    """NT-Xent loss of each stack ``p`` (..., 2N, D) of unit rows, as one
-    tape node: the mean over anchors i of -log softmax of the positive
-    (row i + N mod 2N) among p_i . p_k / tau for every k != i in the stack,
-    or, given ``anchor``, that anchor's term alone."""
-    p = _as_tensor(p)
-    if p.data.ndim < 2 or p.data.shape[-2] % 2:
-        raise ShapeError(f"nt_xent: need (..., 2N, D) rows, got shape {p.data.shape}")
-    two_n = p.data.shape[-2]
-    mask, positive = _nt_xent_constants(two_n)
-    sim = np.matmul(p.data, np.swapaxes(p.data, -1, -2)) * (1.0 / tau)
+def _nt_xent_rows(p, tau):
+    """Each anchor i's NT-Xent term over the stacks ``p`` (..., 2N, D) of unit
+    rows, -log softmax of the positive (row i + N mod 2N) among p_i . p_k / tau
+    for every k != i in its stack; with the exponentials, their row sums and
+    the one-hot positives that the backward rule reuses."""
+    if p.ndim < 2 or p.shape[-2] % 2:
+        raise ShapeError(f"nt_xent: need (..., 2N, D) rows, got shape {p.shape}")
+    mask, positive = _nt_xent_constants(p.shape[-2])
+    sim = np.matmul(p, np.swapaxes(p, -1, -2)) * (1.0 / tau)
     logits = sim + mask
     top = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - top)
     total = e.sum(axis=-1)
-    rows = np.log(total) + top[..., 0] - (sim * positive).sum(axis=-1)
-    out_data = rows.mean(axis=-1) if anchor is None else rows[..., anchor]
+    return np.log(total) + top[..., 0] - (sim * positive).sum(axis=-1), e, total, positive
+
+
+def nt_xent(p, tau):
+    """NT-Xent loss of each stack ``p`` (..., 2N, D) of unit rows, as one
+    tape node: the mean of its 2N anchors' terms (``_nt_xent_rows``)."""
+    p = _as_tensor(p)
+    rows, e, total, positive = _nt_xent_rows(p.data, tau)
 
     def rule(g):
         # d loss / d sim = (masked softmax - one-hot positive) / 2N on every
-        # row, or on row ``anchor`` alone without the 1/2N; and
-        # sim = p p^T / tau sends dS to dP = (dS + dS^T) p.
-        if anchor is None:
-            scale = g[..., None, None] / (two_n * tau)
-        else:
-            scale = np.eye(two_n)[anchor, :, None] * (g[..., None, None] / tau)
-        ds = (e / total[..., None] - positive) * scale
+        # row, and sim = p p^T / tau sends dS to dP = (dS + dS^T) p.
+        ds = (e / total[..., None] - positive) * (g[..., None, None] / (rows.shape[-1] * tau))
         _accumulate(p, np.matmul(ds + np.swapaxes(ds, -1, -2), p.data))
 
-    return Tensor(out_data, _parents=(p,), _backward=rule)
+    return Tensor(rows.mean(axis=-1), _parents=(p,), _backward=rule)
 
 
 def finite_diff_check(f, inputs, epsilon=1e-5):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -46,6 +47,32 @@ def test_round_trip_is_bit_exact(arrays):
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arr.shape
         assert loaded[name].tobytes() == arr.astype("<f8").tobytes()  # float32 widens exactly
+
+
+@pytest.mark.parametrize("preallocate", [True, False], ids=["preallocated", "no-posix-fallocate"])
+def test_a_save_over_a_larger_stale_tmp_writes_exactly_the_encoding(tmp_path, monkeypatch,
+                                                                    preallocate):
+    # a save that died after preallocating leaves a full-size arrays.bin.tmp of zeros;
+    # where os has no posix_fallocate (macOS) the save writes without preallocating
+    allocated = []
+    if preallocate:
+        real = os.posix_fallocate
+        monkeypatch.setattr(os, "posix_fallocate",
+                            lambda fd, offset, size: allocated.append(size) or real(fd, offset, size))
+    else:
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    arrays = {"x": np.arange(6.0).reshape(2, 3), "y": np.array(-0.0)}
+    chunks = blobio.encode(arrays, meta={"kind": "test"})
+    (tmp_path / "blob").mkdir()
+    (tmp_path / "blob" / blobio.TMP_NAME).write_bytes(bytes(4 * len(b"".join(chunks))))
+    blobio.save_arrays(tmp_path / "blob", chunks)
+    assert allocated == ([len(b"".join(chunks))] if preallocate else [])
+    assert [f.name for f in (tmp_path / "blob").iterdir()] == [blobio.FILE_NAME]
+    assert _file(tmp_path / "blob").read_bytes() == b"".join(chunks)
+    loaded, meta = blobio.load_arrays(tmp_path / "blob")
+    assert meta == {"kind": "test"} and list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape and loaded[name].tobytes() == arr.tobytes()
 
 
 _non_empty = st.dictionaries(_names, _arrays(min_side=1), min_size=1, max_size=4)

@@ -27,6 +27,15 @@ def test_pairwise_loss_matches_bruteforce_oracle(proj, rng):
             assert ours == pytest.approx(oracle, abs=1e-10)
 
 
+def test_pairwise_loss_is_forward_only_and_refuses_an_index_out_of_range(proj, rng):
+    u, v = _rows(rng, 3), _rows(rng, 3)
+    loss = contrast.pairwise_loss(u, v, 2, 0.5, proj)
+    assert loss.data.shape == () and not loss.requires_grad
+    for bad_u, bad_v, i in ((u, v, 3), (u, v, -1), (_rows(rng, 0), _rows(rng, 0), 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            contrast.pairwise_loss(bad_u, bad_v, i, 0.5, proj)
+
+
 def test_graph_loss_matches_oracle(proj, rng):
     u = _rows(rng, 5)
     v = _rows(rng, 5)
@@ -96,9 +105,8 @@ def test_graph_loss_property_matches_oracle(graphs, n, dim, tau, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(graphs=st.integers(1, 3), n=st.integers(1, 4), dim=st.integers(1, 4),
-       tau=st.floats(0.1, 2.0), anchor=st.none() | st.integers(0, 7),
-       seed=st.integers(0, 2**32 - 1))
-def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau, anchor, seed):
+       tau=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau, seed):
     # With an identity projection and non-negative rows the oracle's
     # projection is the identity, so it sees exactly what the node sees.
     rng = np.random.default_rng(seed)
@@ -108,12 +116,13 @@ def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau,
     rows = dc.l2_normalize(dc.Tensor(np.concatenate([u, v], axis=-2)))
     losses = dc.nt_xent(rows, tau).data
     assert losses.shape == (graphs,)
-    anchors = [dc.nt_xent(rows, tau, anchor=i).data for i in range(2 * n)]
+    anchors = dc._nt_xent_rows(rows.data, tau)[0]  # the terms the node averages
+    assert np.array_equal(anchors.mean(axis=-1), losses)
     for g in range(graphs):
         assert abs(losses[g] - evalkit.oracle_graph_loss(u[g], v[g], tau, identity)) < 1e-10
         for i in range(n):  # row i anchors u_i, row n + i anchors v_i
-            assert abs(anchors[i][g] - evalkit.oracle_pairwise(u[g], v[g], i, tau, identity)) < 1e-10
-            assert abs(anchors[n + i][g]
+            assert abs(anchors[g, i] - evalkit.oracle_pairwise(u[g], v[g], i, tau, identity)) < 1e-10
+            assert abs(anchors[g, n + i]
                        - evalkit.oracle_pairwise(v[g], u[g], i, tau, identity)) < 1e-10
         # pairwise_loss is one anchor of graph_loss's stack; (v, u) permutes
         # that stack, which may move the last bit of a row
@@ -122,11 +131,10 @@ def test_nt_xent_node_matches_oracle_and_finite_differences(graphs, n, dim, tau,
                  for a, b in ((ug, vg), (vg, ug)) for i in range(n)]
         assert abs(np.mean(pairs) - contrast.graph_loss(ug, vg, tau, identity).data) < 1e-14
     # the rule holds for any rows, normalised or not
-    anchor = None if anchor is None else anchor % (2 * n)
     p = dc.Tensor(rng.standard_normal((graphs, 2 * n, dim)), requires_grad=True)
     probe = rng.standard_normal(graphs)
     assert dc.finite_diff_check(
-        lambda t: dc.tsum(dc.mul(dc.nt_xent(t, tau, anchor), probe)), [p]) < 1e-6
+        lambda t: dc.tsum(dc.mul(dc.nt_xent(t, tau), probe)), [p]) < 1e-6
 
 
 def test_nt_xent_rejects_an_odd_row_count():

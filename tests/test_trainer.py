@@ -250,6 +250,28 @@ def test_train_refuses_videos_too_short_for_the_snippets(tmp_path):
         trainer.train(cfg)
 
 
+def test_two_epochs_on_two_channel_videos_train_and_resume(tmp_path):
+    # the encoders' input width follows the videos' channel count, fresh and resumed
+    sampler.generate_dataset(tmp_path / "data", num_videos=20, num_classes=2, seed=3, channels=2)
+    cfg = small_config(str(tmp_path / "data"), out_dir=str(tmp_path / "out"))
+    best, rows = trainer.train(cfg)
+    assert [row["epoch"] for row in rows] == [0, 1]
+    assert all(np.isfinite(row[k]) for row in rows for k in trainer.METRIC_FIELDS)
+    for name, clip_frames in (("enc_snip", cfg.l), ("enc_frame", cfg.l // cfg.m)):
+        assert best.params[f"{name}.weight"].shape == (encoder.pooled_dim(clip_frames, 2),
+                                                       cfg.feature_dim)
+
+    def crashing_log(row):
+        if row["epoch"] == 1:
+            raise Crash
+
+    part = replace(cfg, out_dir=str(tmp_path / "part"))
+    with pytest.raises(Crash):
+        trainer.train(part, log=crashing_log)
+    _, resumed = trainer.train(part, resume_from=str(tmp_path / "part" / "last"))
+    assert resumed == rows[1:]
+
+
 def test_parameters_alias_the_flat_vector_and_snapshots_do_not(tmp_path, monkeypatch,
                                                                small_dataset):
     # Fresh and resumed (from the fresh run's best/, epoch 1), every
@@ -448,11 +470,11 @@ def _resume_and_check(cfg, uninterrupted_run):
     return rows
 
 
-class _DiesAfterFirstWrite:
-    """A file that takes its first write (the header) and raises on the next."""
+class _DiesMidWrite:
+    """A file that writes the first half of the one buffer it is given, then raises."""
 
     def __init__(self, fh):
-        self.fh, self.written = fh, False
+        self.fh = fh
 
     def __enter__(self):
         return self
@@ -460,11 +482,12 @@ class _DiesAfterFirstWrite:
     def __exit__(self, *exc):
         self.fh.close()
 
-    def write(self, chunk):
-        if self.written:
-            raise Crash
-        self.written = True
-        return self.fh.write(chunk)
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise Crash
 
 
 # The run saves 6 times: best/ in epochs 0 and 1, the ones that improve, and last/ in each.
@@ -483,7 +506,7 @@ def test_resume_after_crash_inside_a_save_reproduces_run(tmp_path, monkeypatch, 
     def crashing_open(path, mode):
         opened.append(path)
         fh = real_open(path, mode)
-        return _DiesAfterFirstWrite(fh) if stage == "mid-write" and len(opened) > save else fh
+        return _DiesMidWrite(fh) if stage == "mid-write" and len(opened) > save else fh
 
     def crashing_replace(src, dst):
         replaced.append(dst)
