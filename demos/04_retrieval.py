@@ -12,10 +12,6 @@ from dataclasses import replace
 from tcgl import evalkit, sampler, trainer
 
 
-def topk_row(queries, gallery, ks):
-    return {k: evalkit.topk_accuracy(queries, gallery, k) for k in ks}
-
-
 def main():
     with tempfile.TemporaryDirectory(prefix="tcgl-demo-retrieval-") as data_dir:
         sampler.generate_dataset(data_dir, num_videos=60, num_classes=6, seed=7)
@@ -45,7 +41,8 @@ def main():
         print(f"\n{len(query_videos)} queries vs {len(gallery_videos)} gallery "
               f"videos, {manifest['num_classes']} classes")
         print(f"{'k':>3}  {'trained':>8}  {'random init':>11}")
-        t_row, r_row = topk_row(t_qry, t_gal, ks), topk_row(r_qry, r_gal, ks)
+        t_row = evalkit.retrieval_table(t_qry, t_gal, ks)
+        r_row = evalkit.retrieval_table(r_qry, r_gal, ks)
         for k in ks:
             print(f"{k:>3}  {t_row[k]:>8.3f}  {r_row[k]:>11.3f}")
 

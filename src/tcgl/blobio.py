@@ -29,8 +29,8 @@ _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
 def encode(arrays, meta=None):
-    """arrays.bin of named arrays plus metadata, as the chunks ``save_arrays`` writes:
-    header line, arrays as C-contiguous float64 (uncopied when already so),
+    """arrays.bin of named arrays plus metadata, as the one ``bytes`` that
+    ``save_arrays`` writes: header line, arrays as C-contiguous float64,
     sha256. Encode once for any number of saves."""
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
     arrs, offset = [], 0
@@ -47,14 +47,13 @@ def encode(arrays, meta=None):
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    return (*chunks, digest.digest())
+    return b"".join([*chunks, digest.digest()])
 
 
-def save_arrays(dir_path, chunks):
-    """Write ``encode``'s chunks into ``dir_path``/arrays.bin."""
+def save_arrays(dir_path, data):
+    """Write ``encode``'s ``data`` into ``dir_path``/arrays.bin."""
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
-    data = b"".join(chunks)
     with open(out / TMP_NAME, "wb") as fh:
         if hasattr(os, "posix_fallocate"):  # allocated blocks: no ext4 write-back on rename
             os.posix_fallocate(fh.fileno(), 0, len(data))

@@ -56,12 +56,21 @@ def resolve_config(args):
         for key, raw in parse_config_file(args.config).items():
             values[key] = _coerce(key, raw)
     for key in trainer.CONFIG_FIELDS:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "seed" not in values and os.environ.get("TCGL_SEED"):
-        values["seed"] = int(os.environ["TCGL_SEED"])
+    if "seed" not in values and (seed := _env_seed()) is not None:
+        values["seed"] = seed
     return trainer.TrainConfig(**values).validate()
+
+
+def _env_seed():
+    """The TCGL_SEED environment variable as an int; None when it is unset or empty."""
+    raw = os.environ.get("TCGL_SEED", "")
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise CliError(f"TCGL_SEED: cannot parse {raw!r}")
 
 
 def _add_config_flags(parser):
@@ -81,7 +90,8 @@ def _echo_config(config, out_dir=None):
 
 
 def cmd_gen_data(args):
-    seed = int(os.environ.get("TCGL_SEED", 7)) if args.seed is None else args.seed
+    seed = args.seed if args.seed is not None else _env_seed()
+    seed = trainer.TrainConfig.seed if seed is None else seed
     sampler.generate_dataset(args.out, args.num_videos, args.num_classes, seed, frames=args.frames)
     print(f"wrote {args.num_videos} videos ({args.num_classes} classes) to {args.out}")
     return 0

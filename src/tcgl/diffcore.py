@@ -58,14 +58,13 @@ def _as_tensor(x):
 
 
 def _accumulate(tensor, grad):
+    """Add ``grad``, of ``tensor``'s shape, to ``tensor.grad``. The first
+    gradient is kept as handed over and later ones are added out of place,
+    so operands may share one array: no backward rule writes in place into
+    a gradient array it received or handed out."""
     if not tensor.requires_grad:
         return
-    if tensor.grad is None:
-        # An own copy, since a rule may pass one array to several operands.
-        # Every rule passes a gradient of its operand's shape.
-        tensor.grad = np.array(grad, dtype=np.float64)
-    else:
-        tensor.grad += grad
+    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _unbroadcast(grad, shape):

@@ -97,7 +97,7 @@ def eval_order(ckpt: trainer.Checkpoint, videos, indices=None):
     model = trainer.restore_model(ckpt, videos[0].channels)
     ids = np.array([trainer.val_permutation_id(config.seed, i, config.n) for i in indices])
     stats = trainer.video_statistics([videos[i] for i in indices], config)
-    return trainer.evaluate(model, config, [(stats, trainer.Draws(ids, None))])[1]
+    return trainer.evaluate(model, config, stats, trainer.Draws(ids, None))[1]
 
 
 # -- consolidated verification -----------------------------------------
@@ -270,7 +270,8 @@ def verify_all(seed=0):
 
 
 def monotone_topk(queries, gallery, ks=(1, 5, 10, 20, 50)):
-    accs = [topk_accuracy(queries, gallery, k) for k in ks]
+    table = retrieval_table(queries, gallery, ks)
+    accs = [table[k] for k in ks]
     return accs, all(b >= a for a, b in zip(accs, accs[1:]))
 
 

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -111,7 +111,7 @@ class Checkpoint:
                   **{f"momentum/{k}": v for k, v in self.momentum.items()}}
         return blobio.encode(arrays, meta={"kind": "checkpoint", "epoch": self.epoch,
                                            "best_val_loss": self.best_val_loss,
-                                           "config": asdict(self.config)})
+                                           "config": vars(self.config)})
 
 
 class FlatParams:
@@ -297,29 +297,18 @@ def val_permutation_id(seed, video_index, n):
     return int(_epoch_rng(seed, 5, video_index).integers(sampler.num_permutations(n)))
 
 
-def validation_batches(config, stats, indices):
-    """(``stats`` rows, draws) per ``batch_size`` chunk of ``indices``.
-    Each video draws from its own (seed, idx) generators, so the batches
-    depend neither on the batching nor on the epoch: a run builds them once."""
-    indices = list(indices)
-    batches = []
-    for start in range(0, len(indices), config.batch_size):
-        chunk = indices[start:start + config.batch_size]
-        draws = draw_batch(config, [_epoch_rng(config.seed, 6, idx) for idx in chunk],
-                           [val_permutation_id(config.seed, idx, config.n) for idx in chunk])
-        batches.append((stats[chunk], draws))
-    return batches
+def validation_draws(config, indices):
+    """The draws of the validation videos ``indices`` as one batch. Each
+    video draws from its own (seed, idx) generators, so the draws depend
+    on no epoch: a run builds them once."""
+    return draw_batch(config, [_epoch_rng(config.seed, 6, idx) for idx in indices],
+                      [val_permutation_id(config.seed, idx, config.n) for idx in indices])
 
 
-def evaluate(model, config, batches):
-    """Mean loss and order accuracy over (stats, draws) batches such as ``validation_batches``."""
-    total, correct = 0.0, 0
-    for batch_stats, draws in batches:
-        res = forward_sample(model, config, batch_stats, draws)
-        total += res.loss.data.sum()
-        correct += int(res.correct.sum())
-    count = sum(len(draws.perm_ids) for _, draws in batches)
-    return total / count, correct / count
+def evaluate(model, config, stats, draws):
+    """Mean loss and order accuracy of one ``forward_sample`` over ``stats`` and ``draws``."""
+    res = forward_sample(model, config, stats, draws)
+    return res.loss.data.mean(), res.correct.mean()
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -372,9 +361,9 @@ def _start(config, resume_from):
         start = Checkpoint(params, {k: np.zeros_like(v) for k, v in params.items()}, -1, config)
     else:
         start = load_checkpoint(resume_from)
-        requested = asdict(config)
+        requested = vars(config)
         if diff := [f"{k}: {v!r} != {requested[k]!r}"
-                    for k, v in asdict(start.config).items() if v != requested[k]]:
+                    for k, v in vars(start.config).items() if v != requested[k]]:
             raise ValueError("resume checkpoint was trained with a different config: "
                              + ", ".join(diff))
         model = restore_model(start, channels)
@@ -453,11 +442,11 @@ def train(config: TrainConfig, resume_from=None, log=None):
             lines = data[:data.rfind(b"\n") + 1].splitlines(keepends=True)
             path.write_bytes(b"".join(lines[:1] + [line for line in lines[1:]
                                                    if int(line.split(b",", 1)[0]) <= last.epoch]))
-    val_batches = validation_batches(config, stats, val_idx)
+    val_stats, val_draws = stats[val_idx], validation_draws(config, val_idx)
     rows, best = [], None
     for epoch in range(last.epoch + 1, config.epochs):
         train_means = _train_epoch(model, flat, config, stats, train_idx, epoch)
-        val_loss, val_acc = evaluate(model, config, val_batches)
+        val_loss, val_acc = evaluate(model, config, val_stats, val_draws)
         rows.append(dict(zip(METRIC_FIELDS, (epoch, *train_means, val_acc, val_loss))))
         improved = val_loss < last.best_val_loss
         last = Checkpoint(flat.views(flat.params.copy()), flat.views(flat.momentum.copy()),

@@ -62,13 +62,14 @@ def test_a_save_over_a_larger_stale_tmp_writes_exactly_the_encoding(tmp_path, mo
     else:
         monkeypatch.delattr(os, "posix_fallocate", raising=False)
     arrays = {"x": np.arange(6.0).reshape(2, 3), "y": np.array(-0.0)}
-    chunks = blobio.encode(arrays, meta={"kind": "test"})
+    data = blobio.encode(arrays, meta={"kind": "test"})
+    assert isinstance(data, bytes)
     (tmp_path / "blob").mkdir()
-    (tmp_path / "blob" / blobio.TMP_NAME).write_bytes(bytes(4 * len(b"".join(chunks))))
-    blobio.save_arrays(tmp_path / "blob", chunks)
-    assert allocated == ([len(b"".join(chunks))] if preallocate else [])
+    (tmp_path / "blob" / blobio.TMP_NAME).write_bytes(bytes(4 * len(data)))
+    blobio.save_arrays(tmp_path / "blob", data)
+    assert allocated == ([len(data)] if preallocate else [])
     assert [f.name for f in (tmp_path / "blob").iterdir()] == [blobio.FILE_NAME]
-    assert _file(tmp_path / "blob").read_bytes() == b"".join(chunks)
+    assert _file(tmp_path / "blob").read_bytes() == data
     loaded, meta = blobio.load_arrays(tmp_path / "blob")
     assert meta == {"kind": "test"} and list(loaded) == list(arrays)
     for name, arr in arrays.items():

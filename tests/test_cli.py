@@ -78,6 +78,16 @@ def test_resolve_config_seed_env_fallback(monkeypatch):
     assert cli.resolve_config(_train_args(seed=3)).seed == 3
 
 
+def test_an_empty_seed_variable_means_unset_for_gen_data_and_train(tmp_path, monkeypatch):
+    monkeypatch.setenv("TCGL_SEED", "")
+    assert cli.run(["gen-data", "--out", str(tmp_path / "data"), "--num-videos", "2",
+                    "--num-classes", "2"]) == 0
+    assert json.loads((tmp_path / "data" / "manifest.json").read_text())["seed"] == 7
+    assert cli.resolve_config(_train_args()).seed == 7
+    monkeypatch.setenv("TCGL_SEED", "x")  # a value that is no integer is a validation error
+    assert cli.run(["gen-data", "--out", str(tmp_path / "bad"), "--num-videos", "2"]) == 1
+
+
 def test_gen_data_writes_dataset(tmp_path, capsys):
     out = tmp_path / "data"
     code = cli.run(["gen-data", "--out", str(out), "--num-videos", "4",

@@ -162,21 +162,18 @@ def test_eval_order_equals_the_validation_path(trained, length):
     cfg, ckpt, _, _, videos = trained
     idx = np.random.default_rng(0).permutation(len(videos))[:length].tolist()
     stats = trainer.video_statistics(videos, cfg)
-    want = trainer.evaluate(trainer.restore_model(ckpt), cfg,
-                            trainer.validation_batches(cfg, stats, idx))[1]
+    want = trainer.evaluate(trainer.restore_model(ckpt), cfg, stats[idx],
+                            trainer.validation_draws(cfg, idx))[1]
     assert evalkit.eval_order(ckpt, videos, indices=idx) == want
     if length == 17:  # some right, some wrong: the two paths agree on a mixed batch
         assert 0.0 < want < 1.0
 
 
 def test_eval_order_runs_one_forward_pass_equal_to_the_validation_path(trained, monkeypatch):
-    # 37 videos: not a multiple of batch_size 16, so the validation path ends on a short batch
+    # 37 videos, more than two batches of batch_size 16: validation makes one call as well
     cfg, ckpt, _, _, _ = trained
     videos = [sampler.gen_synthetic_video(100 + i, sampler.label_for_class(i % 6))
               for i in range(37)]
-    batches = trainer.validation_batches(cfg, trainer.video_statistics(videos, cfg), range(37))
-    assert [len(draws.perm_ids) for _, draws in batches] == [16, 16, 5]
-    want = trainer.evaluate(trainer.restore_model(ckpt), cfg, batches)[1]
     real_forward, calls = trainer.forward_sample, []
 
     def forward(*args):
@@ -184,8 +181,11 @@ def test_eval_order_runs_one_forward_pass_equal_to_the_validation_path(trained, 
         return real_forward(*args)
 
     monkeypatch.setattr(trainer, "forward_sample", forward)
+    want = trainer.evaluate(trainer.restore_model(ckpt), cfg,
+                            trainer.video_statistics(videos, cfg),
+                            trainer.validation_draws(cfg, range(37)))[1]
     assert evalkit.eval_order(ckpt, videos) == want
-    assert calls == [(37, cfg.n, encoder.pooled_dim(cfg.l, 1))]
+    assert calls == [(37, cfg.n, encoder.pooled_dim(cfg.l, 1))] * 2
 
 
 def test_eval_order_equals_the_logged_val_acc(trained):

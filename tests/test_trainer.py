@@ -576,6 +576,26 @@ def test_resume_rejects_different_config(tmp_path, small_dataset):
         trainer.train(other, resume_from=str(tmp_path / "run" / "last"))
 
 
+def test_validation_is_one_forward_over_every_validation_video(small_dataset, monkeypatch):
+    cfg = small_config(small_dataset, epochs=1, batch_size=4, val_fraction=0.5)
+    manifest, _ = sampler.load_dataset(small_dataset)
+    train_idx, val_idx = trainer.split_train_val(manifest, cfg)
+    assert len(val_idx) > cfg.batch_size
+    real_forward, results = trainer.forward_sample, []
+
+    def forward(*args):
+        results.append(real_forward(*args))
+        return results[-1]
+
+    monkeypatch.setattr(trainer, "forward_sample", forward)
+    _, rows = trainer.train(cfg)
+    assert len(results) == -(-len(train_idx) // cfg.batch_size) + 1  # training batches, then one
+    val = results[-1]
+    assert val.loss.data.shape == (len(val_idx),)
+    assert float(rows[0]["val_loss"]).hex() == float(val.loss.data.mean()).hex()
+    assert rows[0]["val_acc"] == val.correct.mean()
+
+
 def test_val_permutation_id_fixed_per_video():
     ids = [trainer.val_permutation_id(7, i, 3) for i in range(50)]
     assert ids == [trainer.val_permutation_id(7, i, 3) for i in range(50)]
