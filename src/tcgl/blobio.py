@@ -1,9 +1,10 @@
-"""One-file persistence for named float arrays.
+"""One-file persistence for named float64 parameters and their momentum.
 
 A saved directory holds one file, arrays.bin: a JSON header line (format
-version, meta, and each array's name, dtype, shape, byte offset and
-length), then the little-endian array bytes, then the sha256 of everything
-before it. A save writes a preallocated arrays.bin.tmp in one call and
+version, meta, and each parameter's [name, shape]), then every parameter's
+little-endian float64 values in header order, then every momentum's in the
+same order, then the sha256 of everything before it. A save writes
+arrays.bin.tmp, preallocated where the file system allows, in one call and
 renames it over arrays.bin, so a process that dies mid-save leaves the
 previous file whole. Loading checks the digest first, so a damaged or
 truncated byte anywhere, header included, is rejected with a diagnostic.
@@ -19,31 +20,26 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 FILE_NAME = "arrays.bin"
 TMP_NAME = f"{FILE_NAME}.tmp"
 
-_DTYPES = ("<f8",)
 _DIGEST_SIZE = hashlib.sha256().digest_size
-_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "length")
 
 
-def encode(arrays, meta=None):
-    """arrays.bin of named arrays plus metadata, as the one ``bytes`` that
-    ``save_arrays`` writes: header line, arrays as C-contiguous float64,
-    sha256. Encode once for any number of saves."""
-    header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": []}
-    arrs, offset = [], 0
-    for name, arr in arrays.items():
-        if name.split() != [name] or name[0] == "#":
-            raise ValueError(f"array name {name!r} must be non-empty, without whitespace "
-                             "and not start with '#'")
-        arr = np.require(arr, "<f8", "C")
-        header["arrays"].append({"name": name, "dtype": arr.dtype.str, "shape": arr.shape,
-                                 "offset": offset, "length": arr.nbytes})
-        arrs.append(arr)
-        offset += arr.nbytes
-    chunks = [json.dumps(header).encode() + b"\n", *arrs]
+def encode(params, momentum, meta=None):
+    """arrays.bin of named ``params``, their ``momentum`` and metadata, as the
+    one ``bytes`` that ``save_arrays`` writes. Encode once for any number of
+    saves. Momentum whose names or shapes differ from the parameters' raises
+    ValueError naming the first such name."""
+    params = {k: np.require(v, "<f8", "C") for k, v in params.items()}
+    moms = {k: np.require(v, "<f8", "C") for k, v in momentum.items()}
+    for name in [*params, *moms]:
+        if name not in params or name not in moms or params[name].shape != moms[name].shape:
+            raise ValueError(f"momentum and parameters differ in names or shapes at {name!r}")
+    header = {"format_version": FORMAT_VERSION, "meta": meta or {},
+              "params": [[k, v.shape] for k, v in params.items()]}
+    chunks = [json.dumps(header).encode() + b"\n", *params.values(), *map(moms.get, params)]
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -55,8 +51,10 @@ def save_arrays(dir_path, data):
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / TMP_NAME, "wb") as fh:
-        if hasattr(os, "posix_fallocate"):  # allocated blocks: no ext4 write-back on rename
+        try:  # allocated blocks: no ext4 write-back on rename
             os.posix_fallocate(fh.fileno(), 0, len(data))
+        except (AttributeError, OSError):  # no such call (macOS), or a file system refuses it
+            pass
         fh.write(data)
     os.replace(out / TMP_NAME, out / FILE_NAME)
 
@@ -69,8 +67,9 @@ def holds_no_save(dir_path):
 
 
 def load_arrays(dir_path):
-    """Read back (arrays, meta); raises ValueError on a bad checksum, version,
-    dtype or header key, or entries that do not tile the bytes before the digest."""
+    """Read back (params, momentum, meta), the arrays as views into one float64
+    copy of the file's values; raises ValueError on a bad checksum, version or
+    header, or entries whose sizes do not fill the bytes before the digest."""
     path = Path(dir_path) / FILE_NAME
     if not path.is_file():
         raise FileNotFoundError(f"no {FILE_NAME} in {dir_path}")
@@ -80,26 +79,24 @@ def load_arrays(dir_path):
         raise ValueError(f"{path}: checksum mismatch")
     start = data.index(b"\n") + 1
     header = json.loads(data[:start])
-    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
-            and isinstance(header.get("arrays"), list)):
-        raise ValueError(f"{path}: header needs a meta object and an arrays list")
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: format version {version!r} != {FORMAT_VERSION}")
-    arrays, end = {}, 0
-    for entry in header["arrays"]:
-        fields = entry if isinstance(entry, dict) else {}
-        name, dtype, shape, offset, length = map(fields.get, _ENTRY_KEYS)
-        if dtype not in _DTYPES:
-            raise ValueError(f"{path}: unknown dtype {dtype!r} for array {name!r}")
-        if not (isinstance(name, str) and name not in arrays and offset == end
-                and isinstance(shape, list) and all(type(d) is int and d >= 0
-                                                    for d in [offset, length, *shape])
-                and length == math.prod(shape) * np.dtype(dtype).itemsize
-                and start + end + length <= len(body)):
-            raise ValueError(f"{path}: bad name, offset, shape or length in entry {entry!r}")
-        raw = body[start + offset:start + offset + length]
-        arrays[name], end = np.frombuffer(raw, dtype).reshape(shape).copy(), offset + length
-    if start + end != len(body):
-        raise ValueError(f"{path}: array bytes end at {end}, not at the digest")
-    return arrays, header["meta"]
+        raise ValueError(f"{path}: header format version {version!r} != {FORMAT_VERSION}")
+    entries = header.get("params")
+    if not (isinstance(header.get("meta"), dict) and isinstance(entries, list)):
+        raise ValueError(f"{path}: header needs a meta object and a params list")
+    layout = {}  # name -> shape, in header order
+    for entry in entries:
+        name, shape = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not (isinstance(name, str) and name not in layout and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"{path}: bad or repeated [name, shape] entry {entry!r}")
+        layout[name] = shape
+    sizes = [math.prod(shape) for shape in layout.values()]
+    if 16 * sum(sizes) != len(body) - start:
+        raise ValueError(f"{path}: 2 x {sum(sizes)} entry values do not end at the digest")
+    rows = np.frombuffer(body[start:], "<f8").copy().reshape(2, sum(sizes))  # params, momenta
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    params, momentum = ({name: row[end - size:end].reshape(shape) for (name, shape), size, end
+                         in zip(layout.items(), sizes, ends)} for row in rows)
+    return params, momentum, header["meta"]

@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import evalkit, sampler, trainer
-
-# Each TrainConfig field's parser; the annotations are strings under
-# ``from __future__ import annotations``.
-_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
-                for f in fields(trainer.TrainConfig)}
 
 
 class CliError(Exception):
@@ -36,7 +30,7 @@ def parse_config_file(path):
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in trainer.CONFIG_FIELDS:
+        if key not in trainer.CONFIG_TYPES:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -44,7 +38,7 @@ def parse_config_file(path):
 
 def _coerce(key, value):
     try:
-        return _FIELD_TYPES[key](value)
+        return trainer.CONFIG_TYPES[key](value)
     except ValueError:
         raise CliError(f"config key {key!r}: cannot parse {value!r}")
 
@@ -55,7 +49,7 @@ def resolve_config(args):
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             values[key] = _coerce(key, raw)
-    for key in trainer.CONFIG_FIELDS:
+    for key in trainer.CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -75,18 +69,15 @@ def _env_seed():
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
-    for name, kind in _FIELD_TYPES.items():
+    for name, kind in trainer.CONFIG_TYPES.items():
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
 
 
-def _echo_config(config, out_dir=None):
+def _echo_config(config):
     resolved = asdict(config)
     print("resolved configuration:")
     for key in sorted(resolved):
         print(f"  {key} = {resolved[key]}")
-    if out_dir:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "config.json").write_text(json.dumps(resolved, indent=1))
 
 
 def cmd_gen_data(args):
@@ -101,7 +92,7 @@ def cmd_train(args):
     config = resolve_config(args)
     if not config.data_dir:
         raise CliError("train needs --data-dir (or data_dir in the config file)")
-    _echo_config(config, config.out_dir or None)
+    _echo_config(config)
 
     trainer.train(config, resume_from=args.resume,
                   log=lambda row: print(trainer.metrics_line(row)))

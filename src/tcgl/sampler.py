@@ -240,6 +240,10 @@ def load_dataset(data_dir):
         if video.class_id != entry["class_id"]:
             raise ValueError(f"{data / entry['file']}: header class id {video.class_id} "
                              f"differs from the manifest's {entry['class_id']}")
+        if videos and video.data.shape[1:] != videos[0].data.shape[1:]:
+            raise ValueError(f"{data / entry['file']}: channels, height and width "
+                             f"{video.data.shape[1:]} differ from the first video's "
+                             f"{videos[0].data.shape[1:]}")
         videos.append(video)
     return manifest, videos
 

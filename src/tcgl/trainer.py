@@ -49,13 +49,20 @@ class TrainConfig:
 
     def validate(self):
         for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
+            kind = CONFIG_TYPES[name]
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name in ("epochs", "batch_size", "n", "m", "l", "feature_dim", "gcn_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.p < 0:
-            raise ValueError(f"interval p must be non-negative, got {self.p}")
+        for name in ("p", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.lr_decay_epoch < -1:
+            raise ValueError(f"lr_decay_epoch must be at least -1, got {self.lr_decay_epoch}")
         if self.lr <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("lr must be positive, momentum/weight_decay non-negative")
         if self.tau <= 0:
@@ -77,7 +84,10 @@ class TrainConfig:
         return self.epochs // 2 if self.lr_decay_epoch < 0 else self.lr_decay_epoch
 
 
-CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
+# Each TrainConfig field's type; the annotations are strings under
+# ``from __future__ import annotations``.
+CONFIG_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -107,11 +117,9 @@ class Checkpoint:
     @cached_property
     def encoded(self):
         """This checkpoint's arrays.bin, encoded at its first save for every save."""
-        arrays = {**{f"param/{k}": v for k, v in self.params.items()},
-                  **{f"momentum/{k}": v for k, v in self.momentum.items()}}
-        return blobio.encode(arrays, meta={"kind": "checkpoint", "epoch": self.epoch,
-                                           "best_val_loss": self.best_val_loss,
-                                           "config": vars(self.config)})
+        return blobio.encode(self.params, self.momentum, meta={
+            "kind": "checkpoint", "epoch": self.epoch, "best_val_loss": self.best_val_loss,
+            "config": vars(self.config)})
 
 
 class FlatParams:
@@ -316,19 +324,15 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path):
-    arrays, meta = blobio.load_arrays(path)
+    params, momentum, meta = blobio.load_arrays(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint directory")
     if missing := [k for k in ("epoch", "config", "best_val_loss") if k not in meta]:
         raise ValueError(f"{path}: checkpoint meta lacks {missing[0]!r}")
-    unknown = set(meta["config"]) - CONFIG_FIELDS
+    unknown = set(meta["config"]) - CONFIG_TYPES.keys()
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     config = TrainConfig(**meta["config"]).validate()
-    params, momentum = ({k[len(pre):]: v for k, v in arrays.items() if k.startswith(pre)}
-                        for pre in ("param/", "momentum/"))
-    if set(params) != set(momentum) or any(v.shape != momentum[k].shape for k, v in params.items()):
-        raise ValueError(f"{path}: parameter and momentum names or shapes disagree")
     return Checkpoint(params=params, momentum=momentum, epoch=int(meta["epoch"]),
                       config=config, best_val_loss=float(meta["best_val_loss"]))
 

@@ -108,6 +108,14 @@ def test_bad_value_exits_one(tmp_path):
                     "--epochs", "1"]) == 1
 
 
+def test_train_writes_only_its_checkpoints_and_metrics(tmp_path, small_dataset):
+    # every checkpoint's meta holds the resolved config; no config.json beside them
+    out = tmp_path / "run"
+    assert cli.run(["train", "--data-dir", str(small_dataset), "--out-dir", str(out),
+                    "--epochs", "1", "--feature-dim", "16", "--gcn-dim", "16"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["best", "last", "metrics.csv"]
+
+
 def test_train_eval_retrieve_round_trip(tmp_path, small_dataset, capsys):
     out = tmp_path / "run"
     code = cli.run([
@@ -278,11 +286,31 @@ def _redigest(ckpt_dir, edit):
 
 def test_checkpoint_with_a_malformed_header_exits_one(tmp_path, capsys):
     # a list header under a valid digest
-    blobio.save_arrays(tmp_path / "ck",
-                       blobio.encode({"x": np.ones(2)}, meta={"kind": "checkpoint"}))
+    blobio.save_arrays(tmp_path / "ck", blobio.encode({"x": np.ones(2)}, {"x": np.ones(2)},
+                                                      meta={"kind": "checkpoint"}))
     _redigest(tmp_path / "ck", lambda header: list(header.values()))
     assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck")]) == 1
     assert "header" in capsys.readouterr().err
+
+
+def test_a_format_2_checkpoint_exits_one_naming_both_versions(tmp_path, small_dataset, capsys):
+    # the layout before format 3: one five-field entry per parameter and one per momentum
+    cfg = small_config(str(small_dataset))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    arrays = {**{f"param/{k}": v for k, v in params.items()},
+              **{f"momentum/{k}": np.zeros_like(v) for k, v in params.items()}}
+    entries, offset = [], 0
+    for name, arr in arrays.items():
+        entries.append({"name": name, "dtype": "<f8", "shape": arr.shape, "offset": offset,
+                        "length": arr.nbytes})
+        offset += arr.nbytes
+    meta = {"kind": "checkpoint", "epoch": 0, "best_val_loss": 1.0, "config": vars(cfg)}
+    body = (json.dumps({"format_version": 2, "meta": meta, "arrays": entries}).encode() + b"\n"
+            + b"".join(arr.tobytes() for arr in arrays.values()))
+    (tmp_path / "ck").mkdir()
+    (tmp_path / "ck" / blobio.FILE_NAME).write_bytes(body + hashlib.sha256(body).digest())
+    assert cli.run(["eval-order", "--ckpt", str(tmp_path / "ck")]) == 1
+    assert "format version 2 != 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["epoch", "config", "best_val_loss"])

@@ -190,3 +190,19 @@ def test_generate_and_load_dataset(tmp_path):
     assert {v.class_id for v in videos} == set(range(4))
     assert [e["class_id"] for e in loaded_manifest["videos"]] == \
         [v.class_id for v in videos]
+
+
+@pytest.mark.parametrize("channels, height, width", [(2, 16, 16), (1, 8, 16), (1, 16, 12)],
+                         ids=["channels", "height", "width"])
+def test_load_dataset_refuses_a_video_of_another_frame_shape_naming_it(tmp_path, channels,
+                                                                      height, width):
+    # one video's frames differ in channels, height or width from the first video's;
+    # a differing frame count is fine, as snippets are sampled per video
+    sampler.generate_dataset(tmp_path, 4, 4, seed=9)
+    odd = tmp_path / "video_00002.bin"
+    sampler.write_video(odd, sampler.gen_synthetic_video(
+        11, sampler.label_for_class(2), 48, channels, height, width))
+    sampler.write_video(tmp_path / "video_00001.bin", sampler.gen_synthetic_video(
+        10, sampler.label_for_class(1), 80))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(odd))}: channels, height and width"):
+        sampler.load_dataset(tmp_path)

@@ -27,6 +27,16 @@ def test_validate_rejects_bad_configs(tmp_path):
         small_config(str(tmp_path), epochs=0).validate()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("epochs", 2.5), ("n", 3.0), ("seed", "7"), ("batch_size", True), ("tau", True),
+    ("data_dir", 1), ("seed", -1), ("lr_decay_epoch", -2),
+], ids=["epochs-2.5", "n-3.0", "seed-str", "batch_size-bool", "tau-bool", "data_dir-int",
+        "seed-negative", "lr_decay_epoch-below-minus-one"])
+def test_validate_refuses_a_value_of_the_wrong_type_or_range_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        trainer.TrainConfig(**{name: value}).validate()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("name", [f.name for f in fields(trainer.TrainConfig)
                                   if f.type == "float"])
@@ -46,7 +56,7 @@ def test_validate_refuses_a_val_fraction_above_one_half(value):
 def test_load_checkpoint_refuses_a_val_fraction_above_one_half(tmp_path):
     meta = {"kind": "checkpoint", "epoch": 0, "best_val_loss": 1.0,
             "config": asdict(trainer.TrainConfig(val_fraction=0.9))}
-    blobio.save_arrays(tmp_path / "ck", blobio.encode({}, meta=meta))
+    blobio.save_arrays(tmp_path / "ck", blobio.encode({}, {}, meta=meta))
     with pytest.raises(ValueError, match="val_fraction"):
         trainer.load_checkpoint(tmp_path / "ck")
 
@@ -159,23 +169,30 @@ def _saved_checkpoint(tmp_path, cfg, edit_params=None, edit_momentum=None):
     return tmp_path / "ck"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda m: m.pop("order.b_out"),
+@pytest.mark.parametrize("edit, name", [
+    (lambda m: m.pop("order.b_out"), "order.b_out"),
     # the flat momentum vector would take a transposed array's values in the wrong order
-    lambda m: m.update({"order.w_out": m["order.w_out"].T.copy()}),
-], ids=["missing-name", "transposed"])
+    (lambda m: m.update({"order.w_out": m["order.w_out"].T.copy()}), "order.w_out"),
+    (lambda m: m.update({"order.extra": np.zeros(2)}), "order.extra"),
+], ids=["missing-name", "transposed", "extra-name"])
 def test_load_checkpoint_rejects_momentum_that_disagrees_with_params(tmp_path, small_dataset,
-                                                                     edit):
+                                                                     edit, name):
+    # a file holds one shape per name, so the save refuses such momentum and writes nothing
     cfg = small_config(str(small_dataset))
-    path = _saved_checkpoint(tmp_path, cfg, edit_momentum=edit)
-    with pytest.raises(ValueError, match="momentum"):
-        trainer.load_checkpoint(path)
+    with pytest.raises(ValueError, match=f"momentum.*{name!r}"):
+        _saved_checkpoint(tmp_path, cfg, edit_momentum=edit)
+    assert not (tmp_path / "ck").exists()
 
 
 def test_load_checkpoint_refuses_a_non_finite_config(tmp_path, small_dataset):
-    path = _saved_checkpoint(tmp_path, replace(small_config(str(small_dataset)), tau=float("nan")))
-    with pytest.raises(ValueError, match="tau must be finite"):
-        trainer.load_checkpoint(path)
+    cfg = small_config(str(small_dataset))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    for name, value, message in (("tau", float("nan"), "tau must be finite"),
+                                 ("n", 3.0, "n must be of type int, got 3.0")):
+        ckpt = trainer.Checkpoint(params, params, 0, replace(cfg, **{name: value}))
+        trainer.save_checkpoint(ckpt, tmp_path / name)
+        with pytest.raises(ValueError, match=message):
+            trainer.load_checkpoint(tmp_path / name)
 
 
 def test_restore_model_rejects_a_transposed_weight_naming_it(tmp_path, small_dataset):
@@ -192,8 +209,8 @@ def test_restore_model_rejects_a_transposed_weight_naming_it(tmp_path, small_dat
 
 def test_load_checkpoint_rejects_non_checkpoint(tmp_path):
     from tcgl import blobio
-    blobio.save_arrays(tmp_path / "g",
-                       blobio.encode({"x": np.ones(2)}, meta={"kind": "gallery"}))
+    blobio.save_arrays(tmp_path / "g", blobio.encode({"x": np.ones(2)}, {"x": np.ones(2)},
+                                                     meta={"kind": "gallery"}))
     with pytest.raises(ValueError):
         trainer.load_checkpoint(tmp_path / "g")
 
@@ -530,9 +547,9 @@ def test_an_epoch_encodes_its_checkpoint_once_for_best_and_last(tmp_path, monkey
                                                                 small_dataset):
     real_encode, encoded = blobio.encode, []
 
-    def counting_encode(arrays, meta=None):
+    def counting_encode(params, momentum, meta=None):
         encoded.append(meta["epoch"])
-        return real_encode(arrays, meta)
+        return real_encode(params, momentum, meta)
 
     monkeypatch.setattr(blobio, "encode", counting_encode)
     # both epochs improve the validation loss, so each saves best/ and last/
