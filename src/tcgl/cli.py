@@ -22,8 +22,14 @@ class CliError(Exception):
 
 
 def parse_config_file(path):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -111,6 +117,10 @@ def cmd_eval_order(args):
 
 
 def cmd_retrieve(args):
+    try:
+        ks = [int(k) for k in args.k.split(",")]
+    except ValueError:
+        raise CliError(f"--k: cannot parse {args.k!r} as comma-separated integers")
     ckpt = trainer.load_checkpoint(args.ckpt)
     config = ckpt.config
     manifest, videos = sampler.load_dataset(args.data_dir or config.data_dir)
@@ -120,7 +130,6 @@ def cmd_retrieve(args):
                                     split="train", backbone_only=args.backbone_only)
     queries = evalkit.build_gallery([videos[i] for i in val_idx], model, config,
                                     split="test", backbone_only=args.backbone_only)
-    ks = [int(k) for k in args.k.split(",")]
     table = evalkit.retrieval_table(queries, gallery, ks)
     lines = [[f"top{k}" for k in ks], [f"{table[k]:.4f}" for k in ks]]
     csv.writer(sys.stdout).writerows(lines)

@@ -170,80 +170,80 @@ def gen_synthetic_video(seed, label: SyntheticLabel, frames=64, channels=1,
 
 # -- dataset files ------------------------------------------------------
 
-_HEADER = struct.Struct("<5i")  # frames, channels, height, width, class_id
+VIDEOS_FILE = "videos.bin"  # _HEADER, an int32 frame count per video, then float32 frames
+_HEADER = struct.Struct("<5i")  # format version, video count, channels, height, width
+_FORMAT_VERSION = 1
 
 
-def write_video(path, video: VideoTensor):
+def write_videos(path, videos):
+    """Write ``videos``, which share channels, height and width, as one VIDEOS_FILE."""
+    shape = videos[0].data.shape[1:]
+    for i, video in enumerate(videos):
+        if video.data.shape[1:] != shape:
+            raise ValueError(f"video {i}: channels, height and width {video.data.shape[1:]} "
+                             f"differ from video 0's {shape}")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(*video.data.shape, video.class_id))
-        fh.write(video.data.astype("<f4").tobytes())
-
-
-def read_video(path):
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        frames, c, h, w, class_id = _HEADER.unpack(raw)
-        if min(frames, c, h, w) <= 0:
-            raise ValueError(f"{path}: header gives a {frames}x{c}x{h}x{w} video; "
-                             "frames, channels, height and width must be positive")
-        expected = frames * c * h * w * 4
-        got = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if got != expected:
-            raise ValueError(f"{path}: expected {expected} data bytes, got {got}")
-        data = np.empty((frames, c, h, w), dtype="<f4")  # one allocation, no bytes to copy
-        fh.readinto(data)
-    return VideoTensor(data=data, class_id=class_id)
+        fh.write(_HEADER.pack(_FORMAT_VERSION, len(videos), *shape))
+        fh.write(np.array([video.frames for video in videos], dtype="<i4"))
+        for video in videos:
+            fh.write(np.ascontiguousarray(video.data, dtype="<f4"))
 
 
 def generate_dataset(out_dir, num_videos, num_classes, seed, frames=64,
                      channels=1, height=16, width=16):
-    """Write a dataset directory: one video file per entry plus a manifest."""
+    """Write a dataset directory: videos.bin, then manifest.json naming each video."""
     if num_videos < 1 or not 1 <= num_classes <= len(_PERIODS):
         raise ValueError(f"a dataset needs at least one video and one class, and at most "
                          f"{len(_PERIODS)} classes, got {num_videos=}, {num_classes=}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i in range(num_videos):
-        label = label_for_class(i % num_classes)
-        video = gen_synthetic_video(seed + i, label, frames, channels, height, width)
-        name = f"video_{i:05d}.bin"
-        write_video(out / name, video)
-        entries.append({"file": name, "class_id": label.class_id})
+    videos = [gen_synthetic_video(seed + i, label_for_class(i % num_classes), frames, channels,
+                                  height, width) for i in range(num_videos)]
+    write_videos(out / VIDEOS_FILE, videos)
+    entries = [{"name": f"video_{i:05d}.bin", "class_id": v.class_id} for i, v in enumerate(videos)]
     manifest = {"seed": seed, "num_classes": num_classes, "videos": entries}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return manifest
 
 
 def load_dataset(data_dir):
-    """Load every video listed in the manifest; returns (manifest, videos)."""
-    data = Path(data_dir)
-    manifest_path = data / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest.json in {data}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    """Load every video listed in the manifest from VIDEOS_FILE; returns (manifest, videos)."""
+    manifest_path, path = Path(data_dir, "manifest.json"), Path(data_dir, VIDEOS_FILE)
+    if not manifest_path.is_file():
+        raise FileNotFoundError(f"no manifest.json in {manifest_path.parent}")
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path} is not JSON: {exc}")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("videos"), list):
         raise ValueError(f"{manifest_path} must be a JSON object whose 'videos' is a list")
-    if not manifest["videos"]:
+    entries = manifest["videos"]
+    if not entries:
         raise ValueError(f"{manifest_path} lists no videos")
-    videos = []
-    for i, entry in enumerate(manifest["videos"]):
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+    if not path.is_file():
+        raise FileNotFoundError(f"no {VIDEOS_FILE} in {path.parent}")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and type(entry.get("class_id")) is int):
-            raise ValueError(f"{manifest_path}: video entry {i} needs a string 'file' "
+            raise ValueError(f"{manifest_path}: video entry {i} needs a string 'name' "
                              "and an integer 'class_id'")
-        video = read_video(data / entry["file"])
-        if video.class_id != entry["class_id"]:
-            raise ValueError(f"{data / entry['file']}: header class id {video.class_id} "
-                             f"differs from the manifest's {entry['class_id']}")
-        if videos and video.data.shape[1:] != videos[0].data.shape[1:]:
-            raise ValueError(f"{data / entry['file']}: channels, height and width "
-                             f"{video.data.shape[1:]} differ from the first video's "
-                             f"{videos[0].data.shape[1:]}")
-        videos.append(video)
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(_HEADER.size + 4 * len(entries))
+        if len(head) != _HEADER.size + 4 * len(entries):
+            raise ValueError(f"{path}: truncated header")
+        version, count, c, h, w = _HEADER.unpack_from(head)
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"{path}: format version {version} != {_FORMAT_VERSION}")
+        if count != len(entries):
+            raise ValueError(f"{path}: holds {count} videos, the manifest lists {len(entries)}")
+        frames = np.frombuffer(head, dtype="<i4", offset=_HEADER.size)
+        if min(c, h, w, frames.min()) <= 0:
+            raise ValueError(f"{path}: non-positive size {c}x{h}x{w} or frame count {frames.min()}")
+        expected = 4 * c * h * w * int(frames.sum(dtype=np.int64))
+        if (got := os.fstat(fh.fileno()).st_size - len(head)) != expected:
+            raise ValueError(f"{path}: expected {expected} data bytes, got {got}")
+        videos = [VideoTensor(np.empty((f, c, h, w), dtype="<f4"), entry["class_id"])
+                  for f, entry in zip(frames.tolist(), entries)]
+        for video in videos:
+            fh.readinto(video.data)
     return manifest, videos
-

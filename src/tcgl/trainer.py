@@ -285,11 +285,11 @@ def sgd_step(flat, grads, lr, momentum, weight_decay):
 
 
 def split_train_val(manifest, config: TrainConfig):
-    """Deterministic split by seeded hash of the file name."""
+    """Deterministic split by seeded hash of each video's manifest name."""
     train_idx, val_idx = [], []
     bucket_count = round(1.0 / config.val_fraction)  # at least 2: val_fraction <= 0.5
     for i, entry in enumerate(manifest["videos"]):
-        digest = hashlib.sha256(f"{config.seed}:{entry['file']}".encode()).digest()
+        digest = hashlib.sha256(f"{config.seed}:{entry['name']}".encode()).digest()
         bucket = int.from_bytes(digest[:4], "little") % bucket_count
         (val_idx if bucket == 0 else train_idx).append(i)
     if not train_idx or not val_idx:

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def test_parse_config_file_rejects_bare_line(tmp_path):
     path.write_text("just-words\n")
     with pytest.raises(cli.CliError):
         cli.parse_config_file(path)
+
+
+def test_a_config_file_that_is_not_utf8_exits_one_naming_it(tmp_path, small_dataset, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"lr = 0.01\nepochs = \xff\n")
+    with pytest.raises(cli.CliError, match=f"^{path}:2: not UTF-8 text"):
+        cli.parse_config_file(path)
+    assert cli.run(["train", "--data-dir", str(small_dataset), "--config", str(path)]) == 1
+    assert f"{path}:2: not UTF-8 text (invalid start byte at byte 19)" in capsys.readouterr().err
 
 
 def test_resolve_config_precedence_flag_beats_file(tmp_path):
@@ -225,31 +235,52 @@ _NOT_A_VIDEO_LIST = "must be a JSON object whose 'videos' is a list"
     ({}, _NOT_A_VIDEO_LIST),
     ([], _NOT_A_VIDEO_LIST),
     ({"videos": "x"}, _NOT_A_VIDEO_LIST),
-    ({"videos": [{"file": "video_00000.bin", "class_id": 0}, {"class_id": 1}]}, "video entry 1"),
-    ({"videos": [{"file": "video_00000.bin"}]}, "video entry 0"),
+    ({"videos": [{"name": "video_00000.bin", "class_id": 0}, {"class_id": 1}]}, "video entry 1"),
+    ({"videos": [{"name": "video_00000.bin"}]}, "video entry 0"),
+    ("{not json", "is not JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
 ], ids=["empty-object", "list", "videos-not-a-list", "entry-without-file",
-        "entry-without-class-id"])
+        "entry-without-class-id", "not-json"])
 def test_malformed_manifest_exits_one(tmp_path, capsys, manifest, message):
     data = tmp_path / "data"
     sampler.generate_dataset(data, num_videos=2, num_classes=2, seed=3)
-    (data / "manifest.json").write_text(json.dumps(manifest))
+    (data / "manifest.json").write_text(manifest if isinstance(manifest, str)
+                                        else json.dumps(manifest))
     assert cli.run(["train", "--data-dir", str(data), "--epochs", "1"]) == 1
     err = capsys.readouterr().err
     assert str(data / "manifest.json") in err and message in err
 
 
-def test_manifest_class_id_differing_from_the_video_header_exits_one(tmp_path, capsys):
+def _checkpoint_on(data_dir, ckpt_dir):
+    """Save a freshly built small-config model whose config names ``data_dir``."""
+    cfg = small_config(str(data_dir))
+    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
+    momentum = {k: np.zeros_like(v) for k, v in params.items()}
+    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), ckpt_dir)
+
+
+@pytest.mark.parametrize("command", ["train", "eval-order", "retrieve"])
+def test_a_dataset_of_per_video_files_exits_one_naming_videos_bin(tmp_path, capsys, command):
+    # the layout before videos.bin: one file per video, a 20-byte header (frames, channels,
+    # height, width, class id) before its float32 frames, and manifest entries naming it
     data = tmp_path / "data"
-    sampler.generate_dataset(data, num_videos=4, num_classes=2, seed=3)
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["videos"][1]["class_id"] = 0  # the header of video 1 says class 1
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    message = f"{data / 'video_00001.bin'}: header class id 1 differs from the manifest's 0"
-    with pytest.raises(ValueError) as refused:
-        sampler.load_dataset(data)
-    assert str(refused.value) == message
-    assert cli.run(["train", "--data-dir", str(data), "--epochs", "1"]) == 1
-    assert message in capsys.readouterr().err
+    data.mkdir()
+    entries = []
+    for i in range(4):
+        video = sampler.gen_synthetic_video(3 + i, sampler.label_for_class(i % 2))
+        name = f"video_{i:05d}.bin"
+        (data / name).write_bytes(struct.pack("<5i", *video.data.shape, video.class_id)
+                                  + video.data.astype("<f4").tobytes())
+        entries.append({"file": name, "class_id": video.class_id})
+    (data / "manifest.json").write_text(json.dumps({"seed": 3, "num_classes": 2,
+                                                    "videos": entries}))
+    _checkpoint_on(data, tmp_path / "ck")
+    argv = (["train", "--data-dir", str(data), "--epochs", "1"] if command == "train" else
+            [command, "--ckpt", str(tmp_path / "ck")])
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: no videos.bin in {data}" in captured.err
+    assert "accuracy" not in captured.out and "top" not in captured.out
 
 
 @pytest.mark.parametrize("flag, value", [("lr", "nan"), ("tau", "nan"), ("alpha", "inf"),
@@ -262,17 +293,15 @@ def test_non_finite_float_flag_exits_one(small_dataset, capsys, flag, value):
 
 @pytest.mark.parametrize("command", ["eval-order", "retrieve"])
 def test_video_with_an_empty_frame_exits_one(tmp_path, capsys, command):
-    # a header with zero-width frames is refused, not evaluated as an empty video
+    # a header with zero-height frames is refused, not evaluated as an empty video
     data = tmp_path / "data"
     sampler.generate_dataset(data, num_videos=4, num_classes=2, seed=3)
-    (data / "video_00001.bin").write_bytes(sampler._HEADER.pack(64, 1, 0, 16, 1))
-    cfg = small_config(str(data))
-    params = {k: t.data for k, t in trainer.build_model(cfg).named_params().items()}
-    momentum = {k: np.zeros_like(v) for k, v in params.items()}
-    trainer.save_checkpoint(trainer.Checkpoint(params, momentum, 0, cfg), tmp_path / "ck")
+    path = data / sampler.VIDEOS_FILE
+    path.write_bytes(sampler._HEADER.pack(1, 4, 1, 0, 16) + path.read_bytes()[20:])
+    _checkpoint_on(data, tmp_path / "ck")
     assert cli.run([command, "--ckpt", str(tmp_path / "ck")]) == 1
     captured = capsys.readouterr()
-    assert f"{data / 'video_00001.bin'}: header gives a 64x1x0x16 video" in captured.err
+    assert f"{path}: non-positive size 1x0x16 or frame count 64" in captured.err
     assert "accuracy" not in captured.out
 
 
@@ -350,6 +379,14 @@ def test_retrieve_with_k_below_one_exits_one(tmp_path, small_dataset, capsys, k)
     assert cli.run(["retrieve", "--ckpt", str(tmp_path / "ck"), "--k", k]) == 1
     captured = capsys.readouterr()
     assert f"k={k} must lie in 1.." in captured.err and "top" not in captured.out
+
+
+def test_retrieve_with_a_k_that_is_not_an_integer_exits_one_naming_the_flag(tmp_path, capsys):
+    # refused before the checkpoint is read
+    assert cli.run(["retrieve", "--ckpt", str(tmp_path / "absent"), "--k", "1,abc"]) == 1
+    captured = capsys.readouterr()
+    assert "--k: cannot parse '1,abc' as comma-separated integers" in captured.err
+    assert "top" not in captured.out
 
 
 def test_train_on_videos_too_short_for_the_snippets_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Symmetries the whole model must have, checked as metamorphic relations:
 a transformed input must give the correspondingly transformed output."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -96,26 +97,31 @@ def test_permuting_the_batch_permutes_the_sample_losses_exactly(order, alpha, se
     assert np.array_equal(permuted.correct, base.correct[order])
 
 
-_THREAD_RUN = """
-import sys
-from tcgl import trainer
-config = trainer.TrainConfig(data_dir=sys.argv[1], epochs=5, batch_size=8, seed=5,
-                             feature_dim=16, gcn_dim=16)
-best, rows = trainer.train(config)
-sys.stdout.write(repr(rows) + "\\n")
-for name in sorted(best.params):
-    sys.stdout.write(best.params[name].tobytes().hex() + best.momentum[name].tobytes().hex() + "\\n")
-"""
+def _training_digest(data_dir, out_dir):
+    """sha256 of a small 5-epoch run: its metric rows, then every parameter and momentum
+    of the checkpoint it returns and of the last one it saved."""
+    config = trainer.TrainConfig(data_dir=str(data_dir), out_dir=str(out_dir), epochs=5,
+                                 batch_size=8, seed=5, feature_dim=16, gcn_dim=16)
+    best, rows = trainer.train(config)
+    digest = hashlib.sha256(repr(rows).encode())
+    for ckpt in (best, trainer.load_checkpoint(Path(out_dir) / "last")):
+        for name in sorted(ckpt.params):
+            digest.update(ckpt.params[name].tobytes() + ckpt.momentum[name].tobytes())
+    return digest.hexdigest()
 
 
-def test_blas_thread_count_does_not_change_training(small_dataset):
-    src = str(Path(trainer.__file__).resolve().parent.parent)
-    outputs = []
+def test_blas_thread_count_does_not_change_training(small_dataset, tmp_path):
+    # this process runs OpenBLAS at its default thread count, the children at one and two
+    path = [str(Path(trainer.__file__).resolve().parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
+    script = ("import sys; from test_invariance import _training_digest; "
+              "print(_training_digest(*sys.argv[1:]))")
+    want = _training_digest(small_dataset, tmp_path / "default")
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(small_dataset)],
-                              env=env, capture_output=True, text=True, timeout=120)
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", script, str(small_dataset),
+                               str(tmp_path / threads)], env=env, capture_output=True,
+                              text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+        assert done.stdout.strip() == want, f"OPENBLAS_NUM_THREADS={threads}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tcgl.diffcore as dc
-from tcgl import blobio, contrast, encoder, sampler, tgraph, trainer
+from tcgl import blobio, contrast, encoder, evalkit, sampler, tgraph, trainer
 
 from conftest import small_config
 
@@ -793,3 +793,45 @@ def test_draws_under_alpha_zero_reach_the_inter_projection_only():
     # a joint config running the same draws runs the same branches
     joint = trainer.forward_sample(model, replace(cfg, alpha=1.0), stats, draws)
     assert np.array_equal(joint.loss.data, res.loss.data)
+
+
+
+def _read_only_handover(monkeypatch):
+    """Mark every gradient array a backward rule hands to ``_accumulate`` read-only, so
+    a rule writing in place into a gradient it received or handed out raises; returns
+    the list the handed-over arrays are appended to."""
+    handed, accumulate = [], dc._accumulate
+
+    def guarded(tensor, grad):
+        grad.flags.writeable = False
+        handed.append(grad)
+        accumulate(tensor, grad)
+
+    monkeypatch.setattr(dc, "_accumulate", guarded)
+    return handed
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                         ids=["joint", "order-only", "intra-only", "inter-only"])
+def test_no_backward_rule_writes_into_a_handed_over_gradient(small_dataset, monkeypatch,
+                                                             alpha, beta):
+    cfg = small_config(str(small_dataset), alpha=alpha, beta=beta)
+    _, videos = sampler.load_dataset(small_dataset)
+    stats = trainer.video_statistics(videos[:16], cfg)
+    model = trainer.build_model(cfg)
+    params = list(model.named_params().values())
+
+    def gradients():
+        draws = trainer.draw_batch(cfg, [np.random.default_rng(4)] * 16)
+        return dc.grad(dc.tsum(trainer.forward_sample(model, cfg, stats, draws).loss), params)
+
+    want = gradients()
+    handed = _read_only_handover(monkeypatch)
+    got = gradients()
+    assert handed and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_the_full_objective_gradient_check_writes_into_no_handed_over_gradient(monkeypatch):
+    handed = _read_only_handover(monkeypatch)
+    assert evalkit.full_loss_gradient_check() < 1e-4
+    assert handed
